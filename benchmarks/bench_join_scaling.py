@@ -2,13 +2,17 @@
 
 "The rapid increase in execution time is due to the fact that we compute
 joins by naive nested loops at the moment."  The bench measures Q8 at two
-document sizes and checks that the time ratio clearly exceeds the size ratio,
-while the streamable Q13 stays roughly linear.
+document sizes with the paper's nested loops (``join="nested"``) and checks
+that the time ratio clearly exceeds the size ratio.  The default indexed
+probe must remove exactly that: Q8 and Q11 then grow near-linearly, like the
+streamable Q13.
 """
 
 from __future__ import annotations
 
-from repro import FluxEngine
+import pytest
+
+from repro import ExecutionOptions, FluxSession
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 
@@ -18,17 +22,18 @@ _SMALL_SCALE = 0.05
 _LARGE_SCALE = 0.2
 
 
-def _timed_run(query: str, document: str) -> float:
-    engine = FluxEngine(BENCHMARK_QUERIES[query], xmark_dtd())
-    return engine.run(document, collect_output=False).stats.elapsed_seconds
+def _timed_run(query: str, document: str, join: str = "indexed") -> float:
+    prepared = FluxSession(xmark_dtd()).prepare(BENCHMARK_QUERIES[query])
+    options = ExecutionOptions(collect_output=False, join=join)
+    return prepared.execute(document, options=options).stats.elapsed_seconds
 
 
-def test_join_query_time_grows_superlinearly(benchmark):
+def _scaling(benchmark, query: str, join: str = "indexed"):
     small = xmark_document(_SMALL_SCALE)
     large = xmark_document(_LARGE_SCALE)
 
     def run():
-        return _timed_run("Q8", small), _timed_run("Q8", large)
+        return _timed_run(query, small, join), _timed_run(query, large, join)
 
     small_time, large_time = benchmark.pedantic(run, rounds=1, iterations=1)
     size_ratio = len(large) / len(small)
@@ -36,30 +41,28 @@ def test_join_query_time_grows_superlinearly(benchmark):
     record_row(
         benchmark,
         table="join-scaling",
-        query="Q8",
+        query=query,
+        join=join,
         size_ratio=round(size_ratio, 2),
         time_ratio=round(time_ratio, 2),
     )
+    return size_ratio, time_ratio
+
+
+def test_join_query_time_grows_superlinearly(benchmark):
+    size_ratio, time_ratio = _scaling(benchmark, "Q8", join="nested")
     # Quadratic join: the time ratio must clearly exceed the size ratio.
     assert time_ratio > 1.5 * size_ratio
 
 
+@pytest.mark.parametrize("query", ["Q8", "Q11"])
+def test_join_query_time_grows_near_linearly(benchmark, query):
+    size_ratio, time_ratio = _scaling(benchmark, query)
+    # Indexed probe: one index per firing, a lookup per outer binding.
+    assert time_ratio < 1.5 * size_ratio
+
+
 def test_streaming_query_time_grows_roughly_linearly(benchmark):
-    small = xmark_document(_SMALL_SCALE)
-    large = xmark_document(_LARGE_SCALE)
-
-    def run():
-        return _timed_run("Q13", small), _timed_run("Q13", large)
-
-    small_time, large_time = benchmark.pedantic(run, rounds=1, iterations=1)
-    size_ratio = len(large) / len(small)
-    time_ratio = large_time / max(small_time, 1e-9)
-    record_row(
-        benchmark,
-        table="join-scaling",
-        query="Q13",
-        size_ratio=round(size_ratio, 2),
-        time_ratio=round(time_ratio, 2),
-    )
+    size_ratio, time_ratio = _scaling(benchmark, "Q13")
     # Streaming evaluation: time grows roughly with the document size.
     assert time_ratio < 3.0 * size_ratio

@@ -14,15 +14,21 @@ The generator produces, per case,
 2. a random **document** conforming to that DTD, with text drawn from a
    vocabulary that includes markup-like characters (``<``, ``&``, ``]]>``,
    quotes, preserved inner whitespace) and numeric values shared between
-   distant leaves so generated joins actually match.
+   distant leaves so generated joins actually match.  Numeric leaves also
+   draw from a mixed pool of number look-alikes and strings (``" 7 "``,
+   ``"7.0"``, ``"-0"``, ``"1e1"``, ``"nan"``, ``"1_0"``, ``"abc"``, ``""``),
+   where the general comparison switches between numeric and string
+   semantics per pair of values.
 3. random **queries** over the schema: nested for-loops, ``where``
    conditions (comparisons, ``exists``/``empty``, conjunctions), joins
-   against outer loop variables, projection-heavy mixes (leaf path outputs)
-   and buffer-heavy mixes (whole-subtree outputs).  Each candidate is
-   compiled through the real scheduler; candidates the rewrite cannot
-   schedule safely are discarded and redrawn, so every emitted query is a
-   safe FluX query by construction.  The draw sequence is a pure function
-   of ``(seed, index)`` -- replaying a seed reproduces the identical cases.
+   against outer loop variables (all six operators, either operand
+   orientation, optionally scaled by a constant), projection-heavy mixes
+   (leaf path outputs) and buffer-heavy mixes (whole-subtree outputs).
+   Each candidate is compiled through the real scheduler; candidates the
+   rewrite cannot schedule safely are discarded and redrawn, so every
+   emitted query is a safe FluX query by construction.  The draw sequence
+   is a pure function of ``(seed, index)`` -- replaying a seed reproduces
+   the identical cases.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from repro.xquery.ast import (
     PathOutputExpr,
     PathRef,
     ROOT_VARIABLE,
+    ScaledPath,
     StringLiteral,
     TextExpr,
     VarOutputExpr,
@@ -75,6 +82,15 @@ _TEXT_POOL = (
 
 #: Numeric strings leaves share so generated joins and comparisons hit.
 _NUMBER_POOL = ("0", "1", "2", "3", "5", "7", "10", "42", "3.5", "12.5")
+
+#: Values numeric leaves also draw from: equal numbers spelled differently,
+#: strings that parse as floats (``"nan"``, ``"1_0"``) and plain strings, so
+#: joins mix numeric and string comparison within one operand.
+_MIXED_POOL = ("7", " 7 ", "7.0", "-0", "0", "1e1", "10", "nan", "1_0", "abc", "")
+
+#: Comparison operators and the coefficients of scaled join operands.
+_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
+_COEFFICIENTS = (2.0, 0.5, -1.0)
 
 _ATTRIBUTE_NAMES = ("id", "kind", "rank")
 
@@ -324,7 +340,7 @@ class CaseGenerator:
 
     def _leaf_text(self, rng: random.Random, schema: SchemaSpec, name: str) -> str:
         if name in schema.numeric_leaves:
-            return rng.choice(_NUMBER_POOL)
+            return rng.choice(_NUMBER_POOL if rng.random() < 0.6 else _MIXED_POOL)
         return rng.choice(_TEXT_POOL)
 
     def _attr_value(self, rng: random.Random) -> str:
@@ -442,8 +458,10 @@ class CaseGenerator:
             elif roll < 0.55:
                 # Buffer-heavy shape: copy the whole bound subtree.
                 items.append(VarOutputExpr(var))
-            elif roll < 0.8 and depth < 2 and schema.children.get(end):
+            elif roll < 0.62 and depth < 2 and schema.children.get(end):
                 items.append(self._for_expr(rng, schema, var, end, bound, depth + 1))
+            elif roll < 0.8:
+                items.append(self._join_loop(rng, schema, bound))
             else:
                 condition = self._condition(rng, schema, bound)
                 if condition is not None:
@@ -454,6 +472,60 @@ class CaseGenerator:
                     items.append(TextExpr("<mark/>"))
         items.append(TextExpr("</row>"))
         return ForExpr(var=var, source=source_var, path=path, body=sequence(items), where=where)
+
+    def _join_loop(
+        self,
+        rng: random.Random,
+        schema: SchemaSpec,
+        bound: Tuple[Tuple[str, str], ...],
+    ) -> XQExpr:
+        """XMark Q8's shape: a loop over another variable's path, joined with ``bound[-1]``.
+
+        The loop ranges over a path of an enclosing loop's variable or of
+        ``$ROOT`` (a re-anchored absolute path).  Unless re-anchoring
+        removes the loop, the scheduler then buffers both sides and the
+        join runs in an ``on-first`` handler, where the executor probes it.
+        """
+        sources = bound[:-1] + ((ROOT_VARIABLE, "#ROOT"),)
+        outer_var, outer_element = bound[-1]
+        var = self._fresh_var()
+        for _attempt in range(4):
+            source_var, source_element = sources[rng.randrange(len(sources))]
+            found = self._random_path(rng, schema, source_element, max_len=3)
+            if found is None:
+                continue
+            path, end = found
+            where = self._join(rng, schema, var, end, outer_var, outer_element)
+            if where is not None:
+                break
+        else:
+            return TextExpr("<none/>")
+        leaf = self._text_path(rng, schema, end)
+        output = PathOutputExpr(var, leaf) if leaf and rng.random() < 0.4 else VarOutputExpr(var)
+        body = sequence([TextExpr("<hit>"), output, TextExpr("</hit>")])
+        return ForExpr(var=var, source=source_var, path=path, body=body, where=where)
+
+    def _join(
+        self,
+        rng: random.Random,
+        schema: SchemaSpec,
+        var: str,
+        element: str,
+        outer_var: str,
+        outer_element: str,
+    ) -> Optional[Condition]:
+        """Compare a numeric leaf of ``var`` with one of ``outer_var``."""
+        inner = self._text_path(rng, schema, element, numeric=True)
+        outer = self._text_path(rng, schema, outer_element, numeric=True)
+        if not inner or not outer:
+            return None
+        operands = [PathRef(var, inner), PathRef(outer_var, outer)]
+        if rng.random() < 0.3:
+            side = rng.randrange(2)
+            operands[side] = ScaledPath(rng.choice(_COEFFICIENTS), operands[side])
+        if rng.random() < 0.5:
+            operands.reverse()
+        return ComparisonCondition(operands[0], rng.choice(_OPERATORS), operands[1])
 
     def _condition(
         self,
@@ -472,16 +544,13 @@ class CaseGenerator:
         if roll < 0.5 and len(bound) >= 2:
             # Join: compare this loop's numeric leaf with an outer loop's.
             outer_var, outer_element = bound[rng.randrange(len(bound) - 1)]
-            left = self._text_path(rng, schema, element, numeric=True)
-            right = self._text_path(rng, schema, outer_element, numeric=True)
-            if left and right:
-                return ComparisonCondition(
-                    PathRef(var, left), rng.choice(("=", "<", ">=")), PathRef(outer_var, right)
-                )
+            join = self._join(rng, schema, var, element, outer_var, outer_element)
+            if join is not None:
+                return join
         leaf = self._text_path(rng, schema, element, numeric=rng.random() < 0.6)
         if leaf is None:
             return None
-        op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+        op = rng.choice(_OPERATORS)
         if rng.random() < 0.6:
             literal = NumberLiteral(float(rng.choice(("1", "3", "5", "10", "42"))))
         else:

@@ -8,7 +8,8 @@ execution path the repo has grown:
 * the **projection baseline** (path-projected materialisation),
 * the **FluX engine** in all three sink modes (``run``, ``run_streaming``,
   ``run_to_sink``) plus a ``collect_output=False`` run for the stats-only
-  path,
+  path, and -- for every query that buffers -- a run with the paper's
+  nested-loop joins (``join="nested"``) beside the default indexed probe,
 * the **multi-query engine** (all of the case's queries in one shared
   pass),
 * a **bounded-memory** run with a budget of half the query's unbounded
@@ -285,6 +286,29 @@ class Oracle:
             return expected, collected.stats.peak_buffered_bytes
         self._check_balanced(name, "flux-collect", collected.stats, record)
         peak = collected.stats.peak_buffered_bytes
+
+        # --- paper-faithful nested-loop joins ---------------------------
+        # By default buffered handlers run their hoisted body and probe a
+        # join index; ``join="nested"`` runs the scheduled body with the
+        # nested loops of paper §6.  Both must give the same bytes and peak.
+        if peak:
+            try:
+                nested = engine.execute(
+                    case.document, options=ExecutionOptions(join="nested", expand_attrs=expand)
+                )
+            except Exception as exc:  # noqa: BLE001
+                record(Divergence(name, "flux-nested-join", f"run crashed: {exc!r}"))
+                return expected, peak
+            if nested.output != expected:
+                record(Divergence(name, "flux-nested-join", _diff(expected, nested.output)))
+            if nested.stats.peak_buffered_bytes != peak:
+                record(
+                    Divergence(
+                        name,
+                        "flux-nested-join",
+                        f"peak_buffered {nested.stats.peak_buffered_bytes} != {peak}",
+                    )
+                )
 
         # --- sink mode 2: streaming fragments ---------------------------
         try:

@@ -27,6 +27,10 @@ from typing import Optional
 from repro.xmlstream.parser import DEFAULT_CHUNK_SIZE
 
 
+#: Value-join strategies of :attr:`ExecutionOptions.join`.
+JOIN_MODES = ("indexed", "nested")
+
+
 @dataclass(frozen=True)
 class FeedOptions:
     """Knobs for continuous document feeds (:mod:`repro.feeds`).
@@ -105,6 +109,12 @@ class ExecutionOptions:
         Continuous-feed knobs (:class:`FeedOptions`) for
         :meth:`~repro.core.session.PreparedQuery.open_feed`; ignored by
         single-document runs.  ``None`` uses the feed defaults.
+    join:
+        How buffered handlers evaluate value joins such as XMark Q8's
+        ``$t/buyer/buyer_person = $p/person_id``.  ``"indexed"`` (the
+        default) probes a per-firing hash or sorted index for candidates
+        and re-checks the full condition on each; ``"nested"`` is the
+        paper's nested loop (§6).  Output is byte-identical either way.
     """
 
     collect_output: bool = True
@@ -116,6 +126,7 @@ class ExecutionOptions:
     trace: Optional[bool] = None
     serve_metrics: Optional[int] = None
     feed: Optional[FeedOptions] = None
+    join: str = "indexed"
 
     def __post_init__(self) -> None:
         if self.memory_budget is not None and self.memory_budget <= 0:
@@ -130,6 +141,8 @@ class ExecutionOptions:
             )
         if self.feed is not None and not isinstance(self.feed, FeedOptions):
             raise ValueError(f"feed must be a FeedOptions, got {self.feed!r}")
+        if self.join not in JOIN_MODES:
+            raise ValueError(f"join must be one of {JOIN_MODES}, got {self.join!r}")
 
     def replace(self, **changes) -> "ExecutionOptions":
         """A copy with the given fields changed (validation re-runs)."""

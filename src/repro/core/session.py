@@ -441,6 +441,7 @@ class PreparedQuerySet:
             memory_budget=None if shared is not None else options.memory_budget,
             memory_page_bytes=options.memory_page_bytes,
             fastpath=options.fastpath,
+            join=options.join,
         )
         if sinks is not None:
             run = engine.run_to_sinks(

@@ -615,6 +615,7 @@ class FluxEngine:
         sink=None,
         stats: Optional[RunStatistics] = None,
         governor: Optional[MemoryGovernor] = None,
+        join: str = "indexed",
     ) -> StreamExecutor:
         stats = stats or RunStatistics()
         return StreamExecutor(
@@ -626,6 +627,7 @@ class FluxEngine:
             # the filter (pre-drop); the executor must not double-count.
             count_input=not self.pipeline.projection_enabled,
             buffer_factory=governor.make_buffer if governor is not None else None,
+            join=join,
         )
 
     def _pipeline_for(self, options: ExecutionOptions):
@@ -699,7 +701,9 @@ class FluxEngine:
         options, stats, bound_sink, governor, owned, observer = self._run_setup(
             options, sink, governor, owns_governor
         )
-        executor = self._executor(sink=bound_sink, stats=stats, governor=governor)
+        executor = self._executor(
+            sink=bound_sink, stats=stats, governor=governor, join=options.join
+        )
         pipeline = self._pipeline_for(options)
         try:
             batches = pipeline.event_batches(
@@ -760,7 +764,9 @@ class FluxEngine:
         options, stats, bound_sink, governor, owned, observer = self._run_setup(
             options, sink, governor, owns_governor
         )
-        executor = self._executor(sink=bound_sink, stats=stats, governor=governor)
+        executor = self._executor(
+            sink=bound_sink, stats=stats, governor=governor, join=options.join
+        )
         pipeline = self._pipeline_for(options)
         feed = pipeline.open_feed(
             expand_attrs=options.expand_attrs,
@@ -832,7 +838,9 @@ class FluxEngine:
         options, stats, sink, governor, owned, observer = self._run_setup(
             options, FragmentSink(), governor, owns_governor
         )
-        executor = self._executor(sink=sink, stats=stats, governor=governor)
+        executor = self._executor(
+            sink=sink, stats=stats, governor=governor, join=options.join
+        )
         pipeline = self._pipeline_for(options)
         batches = pipeline.event_batches(
             document,

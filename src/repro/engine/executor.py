@@ -199,7 +199,9 @@ class StreamExecutor:
     accounting when an upstream stage (the projection filter) already
     records it.  ``buffer_factory`` swaps the scope buffers' implementation
     (a memory governor's ``make_buffer`` makes them spillable under a byte
-    budget); omitted, buffers are plain in-heap event lists.
+    budget); omitted, buffers are plain in-heap event lists.  ``join``
+    selects how handler bodies evaluate value joins (see
+    :attr:`~repro.core.options.ExecutionOptions.join`).
     """
 
     def __init__(
@@ -211,8 +213,10 @@ class StreamExecutor:
         sink: Optional[OutputSink] = None,
         count_input: bool = True,
         buffer_factory=None,
+        join: str = "indexed",
     ):
         self.plan = plan
+        self._indexed_joins = join == "indexed"
         self.stats = stats or RunStatistics()
         if sink is None:
             sink = CollectingSink(self.stats) if collect_output else OutputSink(self.stats)
@@ -360,13 +364,14 @@ class StreamExecutor:
             for var, activations in self._active_scopes.items()
             if activations
         }
-        return RuntimeEnvironment(bindings)
+        return RuntimeEnvironment(bindings, indexed_joins=self._indexed_joins)
 
     def _evaluate_condition(self, condition: Condition) -> bool:
         return evaluate_condition_runtime(condition, self._runtime_environment())
 
-    def _execute_handler_body(self, body) -> None:
+    def _execute_handler_body(self, handler: CompiledOnFirst) -> None:
         self.stats.handler_executions += 1
+        body = handler.hoisted if self._indexed_joins else handler.body
         execute_expression(body, self._runtime_environment(), self.sink)
 
     # ------------------------------------------------------- scope lifecycle
@@ -410,7 +415,7 @@ class StreamExecutor:
         for handler in spec.on_first:
             if handler.fires_initially():
                 activation.fired.add(handler.index)
-                self._execute_handler_body(handler.body)
+                self._execute_handler_body(handler)
         return activation
 
     def _finish_scope(self, activation: ScopeActivation) -> None:
@@ -418,7 +423,7 @@ class StreamExecutor:
         for handler in activation.spec.on_first:
             if handler.index not in activation.fired:
                 activation.fired.add(handler.index)
-                self._execute_handler_body(handler.body)
+                self._execute_handler_body(handler)
         stack = self._active_scopes.get(activation.spec.var)
         if stack and stack[-1] is activation:
             stack.pop()
@@ -527,7 +532,7 @@ class StreamExecutor:
                             # Definition 3.6 already holds, and listing
                             # order puts the body before any stream-copy
                             # of this same child.
-                            self._execute_handler_body(handler.body)
+                            self._execute_handler_body(handler)
 
         handlers = spec.on_by_tag.get(name)
         if handlers is not None:
@@ -627,4 +632,4 @@ class StreamExecutor:
         # 5. Parent-scope ``on-first`` handlers that fired on this child run
         #    now that the child is complete.
         for activation, handler in frame.pending_on_first:
-            self._execute_handler_body(handler.body)
+            self._execute_handler_body(handler)

@@ -41,6 +41,7 @@ from repro.flux.safety import check_safety
 from repro.flux.simple import SimplePart, decompose_simple
 from repro.xquery.analysis import free_variables
 from repro.xquery.ast import Condition, ROOT_VARIABLE, XQExpr, condition_path_refs
+from repro.xquery.optimize import hoist_guards
 
 Path = Tuple[str, ...]
 
@@ -110,12 +111,20 @@ class StreamCopyAction:
 
 @dataclass(frozen=True)
 class CompiledOnFirst:
-    """A compiled ``on-first past(S)`` handler."""
+    """A compiled ``on-first past(S)`` handler.
+
+    ``body`` is the handler body as scheduled (normal form, what
+    ``flux_source`` prints); runs with ``join="nested"`` execute it as the
+    paper does.  ``hoisted`` is the same body with its guards folded back
+    into loop ``where`` clauses (:func:`~repro.xquery.optimize.hoist_guards`),
+    which is what the default indexed join probe executes.
+    """
 
     index: int
     symbols: Optional[FrozenSet[str]]
     body: XQExpr
     past_table: Optional[Dict[int, bool]]
+    hoisted: XQExpr
 
     def fires_initially(self) -> bool:
         """Whether the handler is already satisfied before any child (i = 0)."""
@@ -256,7 +265,15 @@ def compile_plan(
         root_spec = ScopeSpec(
             var=root_var,
             element_type=ROOT_ELEMENT if ROOT_ELEMENT in dtd else None,
-            handlers=(CompiledOnFirst(0, frozenset(), flux.expr, _past_table(dtd, ROOT_ELEMENT, frozenset())),),
+            handlers=(
+                CompiledOnFirst(
+                    0,
+                    frozenset(),
+                    flux.expr,
+                    _past_table(dtd, ROOT_ELEMENT, frozenset()),
+                    hoisted=flux.expr,
+                ),
+            ),
             automaton=_automaton(dtd, ROOT_ELEMENT),
             buffer_tree=buffer_trees.get(root_var),
             value_trie=build_value_trie(value_paths.get(root_var, frozenset())),
@@ -324,6 +341,7 @@ class _ScopeCompiler:
             symbols=handler.symbols,
             body=handler.body,
             past_table=table,
+            hoisted=hoist_guards(handler.body),
         )
 
     def _compile_on(

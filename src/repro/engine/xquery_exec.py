@@ -15,10 +15,22 @@ mirrors :mod:`repro.xquery.semantics` but resolves paths through that hybrid
 environment.  Variables bound by for-loops during the evaluation itself are
 ordinary tree nodes (materialised from buffers), so nested loops and join
 conditions work exactly as in the reference evaluator.
+
+Value joins (paper §6 computes them "by naive nested loops") are
+**probed** by default: a ``for $v in $s/π where χ`` whose ``χ`` compares an
+operand of ``$v`` with an operand of outer variables only looks up an index
+over ``$s/π`` built once per handler firing -- a hash index for ``=``,
+sorted numeric keys for ``<``/``<=``/``>``/``>=``.  The index is a
+*candidate prefilter*: it never drops a node that can satisfy ``χ``, the
+candidates are taken in document order and the full ``χ`` is evaluated on
+each one, so the output is exactly the nested loop's.  A
+:class:`RuntimeEnvironment` built with ``indexed_joins=False`` runs the
+nested loop of the paper.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.buffers import EventBuffer
@@ -45,9 +57,15 @@ from repro.xquery.ast import (
     TrueCondition,
     VarOutputExpr,
     XQExpr,
+    conjuncts,
 )
 from repro.xquery.errors import XQueryEvaluationError
-from repro.xquery.semantics import compare_existential, _format_number, _as_number
+from repro.xquery.semantics import (
+    compare_existential,
+    equality_key,
+    _as_number,
+    _format_number,
+)
 
 Path = Tuple[str, ...]
 
@@ -107,17 +125,38 @@ Binding = Union[XMLNode, ScopeBinding]
 
 
 class RuntimeEnvironment:
-    """Variable environment mixing tree nodes and scope bindings."""
+    """Variable environment mixing tree nodes and scope bindings.
 
-    def __init__(self, bindings: Optional[Dict[str, Binding]] = None):
+    One environment (and the children :meth:`with_node` derives from it)
+    serves one handler firing.  The materialised scope trees, the resolved
+    values of tree-node paths and the join indexes are cached for that
+    firing only: buffers cannot change while a handler body runs, and a new
+    firing builds a new environment, so nothing cached can go stale.
+    ``indexed_joins=False`` selects the paper's nested-loop joins, which
+    re-resolve every compared path per pair: neither the join index nor
+    the value memo is kept.
+    """
+
+    def __init__(
+        self, bindings: Optional[Dict[str, Binding]] = None, *, indexed_joins: bool = True
+    ):
         self._bindings: Dict[str, Binding] = dict(bindings or {})
         self._materialized: Dict[str, XMLNode] = {}
+        # (id(node), path) -> (node, values); the node pins its id.
+        self._values: Optional[Dict[Tuple[int, Path], Tuple[XMLNode, List[str]]]] = (
+            {} if indexed_joins else None
+        )
+        self._joins: Dict[tuple, "_JoinIndex"] = {}
+        self.indexed_joins = indexed_joins
 
     def with_node(self, var: str, node: XMLNode) -> "RuntimeEnvironment":
         """Child environment with an additional tree-node binding."""
-        child = RuntimeEnvironment(self._bindings)
-        child._bindings[var] = node
+        child = RuntimeEnvironment.__new__(RuntimeEnvironment)
+        child._bindings = {**self._bindings, var: node}
         child._materialized = self._materialized
+        child._values = self._values
+        child._joins = self._joins
+        child.indexed_joins = self.indexed_joins
         return child
 
     def binding(self, var: str) -> Binding:
@@ -141,21 +180,53 @@ class RuntimeEnvironment:
         return self._materialized_scope(var, binding).select_path(path)
 
     def resolve_values(self, var: str, path: Path) -> List[str]:
-        """Atomised string values reachable from ``var`` via ``path`` (for conditions)."""
+        """Atomised string values reachable from ``var`` via ``path`` (for conditions).
+
+        Values of tree nodes are memoised for the firing; callers must not
+        mutate the returned list.
+        """
         binding = self.binding(var)
         if isinstance(binding, XMLNode):
-            return [node.text_content() for node in binding.select_path(path)]
+            return self._node_values(binding, path)
         if binding.covers_path(path):
-            return [
-                node.text_content()
-                for node in self._materialized_scope(var, binding).select_path(path)
-            ]
+            return self._node_values(self._materialized_scope(var, binding), path)
         stored = binding.stored_values(path)
         if stored is not None:
             return list(stored)
         # The path is neither buffered nor tracked: for a safe query this
         # means it simply cannot have any matches in the current scope.
         return []
+
+    def _node_values(self, node: XMLNode, path: Path) -> List[str]:
+        if self._values is None:
+            return [match.text_content() for match in node.select_path(path)]
+        key = (id(node), path)
+        hit = self._values.get(key)
+        if hit is None:
+            hit = (node, [match.text_content() for match in node.select_path(path)])
+            self._values[key] = hit
+        return hit[1]
+
+    def join_candidates(self, loop: ForExpr, inner, op: str, outer) -> List[XMLNode]:
+        """The nodes of ``loop``'s path that may satisfy ``inner op outer``.
+
+        ``inner`` reads the loop variable, ``outer`` only variables bound
+        outside the loop.  The index over the loop's nodes is built on first
+        use in this firing, keyed by the source node and path like
+        :attr:`_materialized`.
+        """
+        source = self.binding(loop.source)
+        if not isinstance(source, XMLNode):
+            source = self._materialized_scope(loop.source, source)
+        hashed = op == "="
+        key = (id(source), loop.path, inner, hashed)
+        index = self._joins.get(key)
+        if index is None:
+            nodes = source.select_path(loop.path)
+            values = [_operand_values(inner, self.with_node(loop.var, node)) for node in nodes]
+            index = _JoinIndex(source, nodes, values, hashed)
+            self._joins[key] = index
+        return index.candidates(op, _operand_values(outer, self))
 
     def resolve_count(self, var: str, path: Path) -> int:
         """Number of nodes reachable via ``path`` (for ``exists`` / ``empty``)."""
@@ -175,6 +246,71 @@ class RuntimeEnvironment:
         if isinstance(binding, XMLNode):
             return binding
         return self._materialized_scope(var, binding)
+
+
+class _JoinIndex:
+    """Candidate prefilter over one loop's nodes for one join operand.
+
+    ``hashed`` indexes by :func:`~repro.xquery.semantics.equality_key`
+    (for ``=``); otherwise numeric values are kept sorted for ``bisect``
+    and nodes with a non-numeric value are candidates for every probe,
+    since they compare as strings.  NaN matches no numeric comparison and
+    is left out of both.
+    """
+
+    __slots__ = ("source", "nodes", "buckets", "numbers", "positions", "always")
+
+    def __init__(self, source: XMLNode, nodes: List[XMLNode], values: List[List[str]], hashed: bool):
+        self.source = source  # pins id(source), part of the index's cache key
+        self.nodes = nodes
+        self.buckets: Dict[tuple, List[int]] = {}
+        self.always: List[int] = []
+        pairs: List[Tuple[float, int]] = []
+        for position, node_values in enumerate(values):
+            for value in node_values:
+                if hashed:
+                    key = equality_key(value)
+                    if key is not None:
+                        self.buckets.setdefault(key, []).append(position)
+                    continue
+                number = _as_number(value)
+                if number is None:
+                    self.always.append(position)
+                elif number == number:
+                    pairs.append((number, position))
+        pairs.sort()
+        self.numbers = [number for number, _ in pairs]
+        self.positions = [position for _, position in pairs]
+
+    def candidates(self, op: str, outer_values: List[str]) -> List[XMLNode]:
+        """Nodes in document order that may satisfy ``node op outer`` for some outer value."""
+        hits = set()
+        if op == "=":
+            for value in outer_values:
+                key = equality_key(value)
+                if key is not None:
+                    hits.update(self.buckets.get(key, ()))
+        else:
+            bounds = []
+            for value in outer_values:
+                number = _as_number(value)
+                if number is None:
+                    # A string comparison can hold against any inner value.
+                    return self.nodes
+                if number == number:
+                    bounds.append(number)
+            hits.update(self.always)
+            if bounds:
+                if op in ("<", "<="):
+                    bound = max(bounds)
+                    end = (bisect_left if op == "<" else bisect_right)(self.numbers, bound)
+                    hits.update(self.positions[:end])
+                else:
+                    bound = min(bounds)
+                    start = (bisect_right if op == ">" else bisect_left)(self.numbers, bound)
+                    hits.update(self.positions[start:])
+        nodes = self.nodes
+        return [nodes[position] for position in sorted(hits)]
 
 
 class OutputTarget:
@@ -203,7 +339,14 @@ def execute_expression(expr: XQExpr, env: RuntimeEnvironment, sink) -> None:
             execute_expression(item, env, sink)
         return
     if isinstance(expr, ForExpr):
-        for node in env.resolve_nodes(expr.source, expr.path):
+        probe = None
+        if expr.where is not None and env.indexed_joins:
+            probe = _join_probe(expr.where, expr.var)
+        if probe is None:
+            nodes = env.resolve_nodes(expr.source, expr.path)
+        else:
+            nodes = env.join_candidates(expr, *probe)
+        for node in nodes:
             inner = env.with_node(expr.var, node)
             if expr.where is not None and not evaluate_condition_runtime(expr.where, inner):
                 continue
@@ -221,6 +364,36 @@ def execute_expression(expr: XQExpr, env: RuntimeEnvironment, sink) -> None:
         sink.write_node(env.output_node(expr.var))
         return
     raise TypeError(f"not an XQuery- expression: {expr!r}")
+
+
+#: ``a op b`` holds exactly when ``b flipped[op] a`` does (``!=`` is never probed).
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _join_probe(where: Condition, var: str):
+    """``(inner, op, outer)`` of a probe-able join conjunct of ``where``, or ``None``.
+
+    ``inner`` is a path operand of the loop variable ``var``, ``outer`` one
+    of another variable, and ``op`` is oriented as ``inner op outer``.
+    """
+    for atom in conjuncts(where):
+        if not isinstance(atom, ComparisonCondition) or atom.op not in _FLIPPED:
+            continue
+        left, right = _operand_var(atom.left), _operand_var(atom.right)
+        if left is None or right is None or (left == var) == (right == var):
+            continue
+        if left == var:
+            return atom.left, atom.op, atom.right
+        return atom.right, _FLIPPED[atom.op], atom.left
+    return None
+
+
+def _operand_var(operand) -> Optional[str]:
+    if isinstance(operand, PathRef):
+        return operand.var
+    if isinstance(operand, ScaledPath):
+        return operand.ref.var
+    return None
 
 
 # ---------------------------------------------------------------------------

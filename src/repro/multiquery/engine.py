@@ -110,6 +110,7 @@ class MultiQueryEngine:
         memory_page_bytes: Optional[int] = None,
         governor: Optional[MemoryGovernor] = None,
         fastpath: Optional[bool] = None,
+        join: str = "indexed",
     ):
         self.registry = registry
         self.chunk_size = chunk_size
@@ -124,6 +125,9 @@ class MultiQueryEngine:
         #: ``REPRO_FASTPATH`` environment variable overrides, ``None``
         #: means off, ``expand_attrs`` passes fall back to the classic scan.
         self.fastpath = fastpath
+        #: Value-join strategy of every member executor
+        #: (:attr:`~repro.core.options.ExecutionOptions.join`).
+        self.join = join
         self._merged: Optional[MergedProjectionSpec] = None
         self._merged_version = -1
         self._fast_fanout: Optional[FastFanout] = None
@@ -175,6 +179,7 @@ class MultiQueryEngine:
                 stats=stats,
                 count_input=False,
                 buffer_factory=factory,
+                join=self.join,
             )
 
         return self._execute(document, executor_for, expand_attrs, trace)
@@ -200,7 +205,12 @@ class MultiQueryEngine:
         def executor_for(entry: RegisteredQuery, stats: RunStatistics, factory) -> StreamExecutor:
             sink = WritableSink(stats, writables[entry.name])
             return StreamExecutor(
-                entry.plan, stats=stats, sink=sink, count_input=False, buffer_factory=factory
+                entry.plan,
+                stats=stats,
+                sink=sink,
+                count_input=False,
+                buffer_factory=factory,
+                join=self.join,
             )
 
         return self._execute(document, executor_for, expand_attrs, trace)

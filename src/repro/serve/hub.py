@@ -667,6 +667,7 @@ class SubscriptionHub:
                     stats=stats,
                     count_input=False,
                     buffer_factory=factory,
+                    join=self.options.join,
                 )
                 executor.begin()
                 execs.append((sub, executor, stats))

@@ -224,6 +224,13 @@ def iter_atomic_conditions(condition: Condition) -> Iterator[Condition]:
         yield condition
 
 
+def conjuncts(condition: Condition) -> Tuple[Condition, ...]:
+    """The operands of a (nested) conjunction; any other condition is its own."""
+    if isinstance(condition, AndCondition):
+        return tuple(atom for item in condition.items for atom in conjuncts(item))
+    return (condition,)
+
+
 def condition_path_refs(condition: Condition) -> Tuple[PathRef, ...]:
     """All path references occurring in a condition, in syntactic order."""
     refs = []

@@ -34,11 +34,13 @@ the DTD for the cardinality checks.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dtd.schema import DTD, ROOT_ELEMENT
 from repro.xquery.analysis import rename_variable
 from repro.xquery.ast import (
+    AndCondition,
+    Condition,
     EmptyExpr,
     ForExpr,
     IfExpr,
@@ -48,7 +50,10 @@ from repro.xquery.ast import (
     TextExpr,
     VarOutputExpr,
     XQExpr,
+    condition_path_refs,
+    conjuncts,
     sequence,
+    sequence_items,
 )
 
 #: Maximum number of fixpoint rounds for :func:`simplify`.
@@ -188,6 +193,81 @@ def _fuse(expr: XQExpr, dtd: DTD, context: _TypeContext) -> XQExpr:
                 fused.append(item)
         return sequence(fused)
     raise TypeError(f"not an XQuery- expression: {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# Guard hoisting
+
+
+def hoist_guards(expr: XQExpr) -> XQExpr:
+    """Fold the guards normalisation pushed into every item back into loops.
+
+    Normalisation (Figure 1) turns ``for $t ... where χ return <r>{$t}</r>``
+    into ``for $t ... return {if χ then <r>}{if χ then {$t}}{if χ then </r>}``,
+    which evaluates ``χ`` once per output item.  This pass undoes that for
+    execution, bottom-up:
+
+    * adjacent guards sharing conjuncts merge: ``{if χ then α}{if χ and ψ
+      then β}`` becomes ``{if χ then α {if ψ then β}}`` (normalisation
+      nests ``if``-s as conjunctions),
+    * a loop whose body is one ``{if χ then α}`` becomes
+      ``for ... where χ return α``,
+    * the conjuncts of a ``where`` that do not read the loop's own variable
+      are lifted out of the loop as ``{if χ then {for ...}}``, so an
+      enclosing loop can take them over in turn.
+
+    Conditions are side-effect free, so every step preserves output.  The
+    result is no longer in normal form; it is meant for execution only.
+    """
+    if isinstance(expr, SequenceExpr):
+        return sequence(_merge_adjacent([hoist_guards(item) for item in expr.items]))
+    if isinstance(expr, IfExpr):
+        return IfExpr(expr.condition, hoist_guards(expr.body))
+    if isinstance(expr, ForExpr):
+        body = hoist_guards(expr.body)
+        guards = list(conjuncts(expr.where)) if expr.where is not None else []
+        if isinstance(body, IfExpr):
+            guards += conjuncts(body.condition)
+            body = body.body
+        local = [c for c in guards if any(r.var == expr.var for r in condition_path_refs(c))]
+        lifted = [c for c in guards if c not in local]
+        loop = ForExpr(expr.var, expr.source, expr.path, body, _conjunction(local))
+        return IfExpr(_conjunction(lifted), loop) if lifted else loop
+    return expr
+
+
+def _merge_adjacent(items: List[XQExpr]) -> List[XQExpr]:
+    merged: List[XQExpr] = []
+    for item in items:
+        if merged and isinstance(merged[-1], IfExpr) and isinstance(item, IfExpr):
+            combined = _merge_guards(merged[-1], item)
+            if combined is not None:
+                merged[-1] = combined
+                continue
+        merged.append(item)
+    return merged
+
+
+def _merge_guards(first: IfExpr, second: IfExpr) -> Optional[IfExpr]:
+    """One ``{if χ then ...}`` over both items, χ their shared conjuncts."""
+    left, right = conjuncts(first.condition), conjuncts(second.condition)
+    shared = [c for c in left if c in right]
+    if not shared:
+        return None
+
+    def remainder(atoms, body):
+        rest = [c for c in atoms if c not in shared]
+        return IfExpr(_conjunction(rest), body) if rest else body
+
+    first_items = sequence_items(remainder(left, first.body))
+    body = _merge_adjacent([*first_items, remainder(right, second.body)])
+    return IfExpr(_conjunction(shared), sequence(body))
+
+
+def _conjunction(atoms: List[Condition]) -> Optional[Condition]:
+    if not atoms:
+        return None
+    return atoms[0] if len(atoms) == 1 else AndCondition(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ numerically, otherwise as strings.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.xmlstream.serializer import escape_text, serialize_events
 from repro.xmlstream.tree import XMLNode
@@ -205,6 +205,24 @@ def _compare_atomic(left: str, op: str, right: str) -> bool:
     if left_number is not None and right_number is not None:
         return _apply_op(left_number, op, right_number)
     return _apply_op(left.strip(), op, right.strip())
+
+
+def equality_key(value: str) -> Optional[Tuple[str, object]]:
+    """Hash key of ``value`` under :func:`_compare_atomic`'s ``=``.
+
+    Two values compare equal exactly when their keys are equal: numeric
+    values key as ``("n", float)`` (so ``"7"``, ``" 7 "``, ``"7.0"`` and
+    ``"7e0"`` collide), every other value as ``("s", stripped text)``.  A
+    numeric and a non-numeric value never compare equal, because equal
+    stripped texts parse alike.  NaN equals nothing, so it has no key
+    (``None``).
+    """
+    number = _as_number(value)
+    if number is None:
+        return ("s", value.strip())
+    if number != number:
+        return None
+    return ("n", number)
 
 
 def _apply_op(left, op: str, right) -> bool:

@@ -106,7 +106,7 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "ExecutionOptions": {
-        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, fastpath: 'Optional[bool]' = None, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None) -> None",
+        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, fastpath: 'Optional[bool]' = None, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None, join: 'str' = 'indexed') -> None",
         "kind": "class",
         "members": {
             "replace": "(self, **changes) -> \"'ExecutionOptions'\""
@@ -202,7 +202,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "MultiQueryEngine": {
-        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None, fastpath: 'Optional[bool]' = None)",
+        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None, fastpath: 'Optional[bool]' = None, join: 'str' = 'indexed')",
         "kind": "class",
         "members": {
             "merged_spec": "(self) -> 'MergedProjectionSpec'",

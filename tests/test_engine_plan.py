@@ -1,7 +1,10 @@
 """Unit tests for the plan compiler (scope specs, handlers, punctuation tables)."""
 
+from pathlib import Path
+
 import pytest
 
+from repro import FluxSession
 from repro.dtd.parser import parse_dtd
 from repro.engine.plan import (
     CompiledOn,
@@ -12,9 +15,11 @@ from repro.engine.plan import (
 from repro.flux.errors import UnschedulableQueryError
 from repro.flux.parser import parse_flux
 from repro.flux.rewrite import rewrite_query
+from repro.xquery.analysis import iter_subexpressions
+from repro.xquery.ast import ForExpr, IfExpr, TextExpr, VarOutputExpr
 from repro.xquery.parser import parse_query
 from repro.xmark.dtd import xmark_dtd
-from repro.xmark.queries import QUERY_1, QUERY_8, QUERY_20
+from repro.xmark.queries import QUERY_1, QUERY_8, QUERY_11, QUERY_20
 from repro.xmark.usecases import BIB_DTD_UNORDERED, BIB_DTD_USECASES, XMP_INTRO
 
 
@@ -135,3 +140,43 @@ def test_simple_top_level_query_compiles_to_a_degenerate_plan():
     plan = compile_plan(SimpleFlux(TextExpr("<hello/>")), dtd)
     assert len(plan.root_scope.handlers) == 1
     assert plan.root_scope.handlers[0].fires_initially()
+
+
+def _site_join_body(plan):
+    site = next(h for h in plan.root_scope.handlers if isinstance(h, CompiledOn)).nested
+    (join_handler,) = [h for h in site.on_first if h.symbols]
+    return join_handler.hoisted
+
+
+def _loops(expr):
+    return {sub.var: sub for sub in iter_subexpressions(expr) if isinstance(sub, ForExpr)}
+
+
+def test_on_first_bodies_execute_with_hoisted_join_guards():
+    session = FluxSession(xmark_dtd())
+    q8 = session.prepare(QUERY_8)
+    body = _site_join_body(q8.engine.plan)
+    loops = _loops(body)
+    wheres = [loop for loop in loops.values() if loop.where is not None]
+    assert [loop.var for loop in wheres] == ["$t"]
+    assert wheres[0].where.to_source() == "$t/buyer/buyer_person = $p/person_id"
+    assert wheres[0].body.items == (TextExpr("<result>"), VarOutputExpr("$t"), TextExpr("</result>"))
+    assert not any(isinstance(sub, IfExpr) for sub in iter_subexpressions(body))
+
+    q11 = session.prepare(QUERY_11)
+    loops = _loops(_site_join_body(q11.engine.plan))
+    guarded = {var: loop.where.to_source() for var, loop in loops.items() if loop.where}
+    assert guarded == {"$o": "$p/profile/profile_income > 5000 * $o/initial"}
+
+
+def test_guard_hoisting_leaves_the_scheduled_query_and_buffers_unchanged():
+    golden = Path(__file__).parent / "fixtures" / "plan_golden_q8_q11.txt"
+    session = FluxSession(xmark_dtd())
+    rendered = []
+    for name, query in (("Q8", QUERY_8), ("Q11", QUERY_11)):
+        prepared = session.prepare(query)
+        rendered.append(
+            f"== {name} flux_source\n{prepared.flux_source}\n"
+            f"== {name} describe_buffers\n{prepared.describe_buffers()}\n"
+        )
+    assert "".join(rendered) == golden.read_text(encoding="utf-8")
