@@ -61,7 +61,7 @@ def record_summary(benchmark, name: str, *, scale: float, wall_seconds: float,
                    peak_bytes: int, **extra) -> None:
     """One normalized headline row per benchmark.
 
-    Each bench file keeps its own detail table (``BENCH_fastpath.json``,
+    Each bench file keeps its own detail table (``BENCH_feed.json``,
     ``BENCH_bounded_memory.json``, ...), but also contributes one row here
     under the fixed :data:`SUMMARY_SCHEMA`, all of which land together in
     ``BENCH_summary.json`` -- trajectory tooling reads that one file

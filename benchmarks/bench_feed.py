@@ -4,7 +4,7 @@ A feed's cost model differs from a single run's: every document boundary
 pays for a fresh inner run (executor, statistics, attribution ledger)
 plus boundary detection and result framing.  This bench streams the
 synthetic XMark auction ticker (:mod:`repro.xmark.ticker`) through
-``open_feed`` on both pipelines and records
+``open_feed`` and records
 
 * **docs/sec** end to end over the chunked stream,
 * **inter-document latency**: wall time between consecutive document
@@ -22,9 +22,7 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
-from repro import ExecutionOptions, FluxSession
+from repro import FluxSession
 from repro.xmark.dtd import xmark_dtd
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.ticker import DEFAULT_TICK_SCALE, iter_ticker_chunks
@@ -43,11 +41,9 @@ def _percentile(samples, fraction: float) -> float:
     return ordered[index]
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
-def test_feed_throughput(benchmark, fastpath):
+def test_feed_throughput(benchmark):
     session = FluxSession(xmark_dtd())
     prepared = session.prepare(BENCHMARK_QUERIES[_QUERY])
-    options = ExecutionOptions(fastpath=True if fastpath else None)
     chunks = list(
         iter_ticker_chunks(
             documents=_DOCUMENTS, scale=DEFAULT_TICK_SCALE, chunk_size=_CHUNK_BYTES
@@ -64,9 +60,7 @@ def test_feed_throughput(benchmark, fastpath):
             floors.append(document.result.stats.buffered_bytes_current)
 
         started = time.perf_counter()
-        with prepared.open_feed(
-            options=options, on_document=on_document
-        ) as feed:
+        with prepared.open_feed(on_document=on_document) as feed:
             for chunk in chunks:
                 feed.feed(chunk)
         return started, seal_times, floors, feed.result
@@ -83,7 +77,6 @@ def test_feed_throughput(benchmark, fastpath):
         benchmark,
         table="feed",
         query=_QUERY,
-        fastpath=fastpath,
         documents=_DOCUMENTS,
         stream_mb=round(stream_bytes / 1e6, 2),
         seconds=round(elapsed, 4),

@@ -13,7 +13,7 @@ document with output discarded:
   on every stage plus the report assembly.
 
 Timing is min-of-N with the three contenders tightly interleaved and GC
-paused (same protocol as ``bench_fastpath``); extra rounds are added if a
+paused; extra rounds are added if a
 noisy window pushes a ratio over its gate.  The gates are the ISSUE 7
 acceptance criteria: disabled within **2%** of baseline, enabled within
 **10%**.  Byte identity between the disabled and enabled runs is asserted

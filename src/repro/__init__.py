@@ -6,17 +6,19 @@ of XQuery, together with an algorithm that uses DTD order constraints to
 schedule query evaluation over XML streams with minimal main-memory
 buffering.  This package reimplements the complete system:
 
-* :mod:`repro.xmlstream` -- streaming XML substrate (events, parser, trees),
+* :mod:`repro.xmlstream` -- streaming XML substrate (events, trees, and the
+  event tokenizer kept as the independent reference parser),
+* :mod:`repro.fastpath` -- the document pipeline every run mode uses: a
+  zero-copy byte scanner fused with a flat-table projection filter,
 * :mod:`repro.dtd` -- DTDs, Glushkov automata, order/cardinality constraints,
 * :mod:`repro.xquery` -- the XQuery⁻ fragment, normalisation, reference
   semantics,
 * :mod:`repro.flux` -- the FluX language, the scheduling rewrite, safety,
-* :mod:`repro.pipeline` -- the push-based event pipeline (tokenize ->
-  coalesce -> project -> execute -> sink) with the pre-executor projection
-  filter and the unified Sink protocol,
+* :mod:`repro.pipeline` -- the projection automata the scanner filters
+  with (scan -> project -> execute -> sink) and the unified Sink protocol,
 * :mod:`repro.engine` -- the streaming engine with projected buffers,
 * :mod:`repro.multiquery` -- multi-query shared-stream execution (one
-  parse, N queries, merged projection with membership masks),
+  scan, N queries, merged projection with membership masks),
 * :mod:`repro.storage` -- bounded-memory execution: a memory governor with
   a hard byte budget, spillable paged buffers and a temp-file spill store,
 * :mod:`repro.obs` -- observability: per-run span tracing with stage

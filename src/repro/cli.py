@@ -52,7 +52,7 @@ summary line reports documents/second and the final resume offset, and
 recipe: pass the resume offset a previous run printed or dumped).
 
 ``serve`` runs the streaming subscription server (:mod:`repro.serve`):
-one shared tokenize -> coalesce -> project pass over a live feed (the
+one shared scan + projection pass over a live feed (the
 XMark ticker, a file of concatenated documents, or client-pushed chunks
 with ``--client-fed``), fanned out to any number of subscribed queries
 over NDJSON-over-TCP.  ``subscribe`` is the matching client: it
@@ -115,14 +115,6 @@ def _resolve_query(argument: str) -> str:
     if argument in BENCHMARK_QUERIES:
         return BENCHMARK_QUERIES[argument]
     return _read(argument)
-
-
-def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fastpath",
-        action="store_true",
-        help="use the bytes-native accelerated engine core (REPRO_FASTPATH overrides)",
-    )
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -205,7 +197,6 @@ def _cmd_run(args) -> int:
         _load_schema(args),
         options=ExecutionOptions(
             memory_budget=args.memory_budget,
-            fastpath=True if args.fastpath else None,
             trace=True if args.trace else None,
             serve_metrics=args.serve_metrics,
         ),
@@ -250,7 +241,6 @@ def _cmd_multirun(args) -> int:
         schema,
         options=ExecutionOptions(
             memory_budget=args.memory_budget,
-            fastpath=True if args.fastpath else None,
             trace=True if args.trace else None,
             serve_metrics=args.serve_metrics,
         ),
@@ -395,7 +385,6 @@ def _cmd_xmark(args) -> int:
         schema,
         options=ExecutionOptions(
             memory_budget=args.memory_budget,
-            fastpath=True if args.fastpath else None,
             trace=True if args.trace else None,
         ),
     )
@@ -457,7 +446,6 @@ def _cmd_feed(args) -> int:
         schema,
         options=ExecutionOptions(
             memory_budget=args.memory_budget,
-            fastpath=True if args.fastpath else None,
             serve_metrics=args.serve_metrics,
         ),
     )
@@ -515,7 +503,6 @@ def _cmd_serve(args) -> int:
         _load_schema(args),
         options=ExecutionOptions(
             memory_budget=args.memory_budget,
-            fastpath=True if args.fastpath else None,
             serve_metrics=args.serve_metrics,
         ),
     )
@@ -688,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the pre-executor projection filter (for comparisons)",
     )
-    _add_fastpath_argument(run_parser)
     _add_memory_budget_argument(run_parser)
     _add_trace_argument(run_parser)
     _add_serve_metrics_argument(run_parser)
@@ -726,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable every query's projection filter in the merged pass",
     )
-    _add_fastpath_argument(multirun_parser)
     _add_memory_budget_argument(multirun_parser)
     _add_trace_argument(multirun_parser)
     _add_serve_metrics_argument(multirun_parser)
@@ -774,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the pre-executor projection filter (for comparisons)",
     )
-    _add_fastpath_argument(xmark_parser)
     _add_memory_budget_argument(xmark_parser)
     _add_trace_argument(xmark_parser)
     xmark_parser.set_defaults(handler=_cmd_xmark)
@@ -829,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat", action="store_true", help="print heartbeat punctuation lines to stderr"
     )
     feed_parser.add_argument("--verbose", action="store_true", help="per-document progress on stderr")
-    _add_fastpath_argument(feed_parser)
     _add_memory_budget_argument(feed_parser)
     _add_serve_metrics_argument(feed_parser)
     feed_parser.set_defaults(handler=_cmd_feed)
@@ -873,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="after the feed ends, wait up to this long for subscribers to drain",
     )
-    _add_fastpath_argument(serve_parser)
     _add_memory_budget_argument(serve_parser)
     _add_serve_metrics_argument(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)

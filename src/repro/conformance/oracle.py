@@ -4,7 +4,9 @@ For each case the oracle runs the same (document, query) pair through every
 execution path the repo has grown:
 
 * the **naive baseline** (full materialisation + reference semantics) --
-  this is the reference output,
+  this is the reference output; it parses with the event tokenizer of
+  :mod:`repro.xmlstream`, an implementation independent of the engine's
+  byte scanner,
 * the **projection baseline** (path-projected materialisation),
 * the **FluX engine** in all three sink modes (``run``, ``run_streaming``,
   ``run_to_sink``) plus a ``collect_output=False`` run for the stats-only
@@ -15,21 +17,18 @@ execution path the repo has grown:
 * a **bounded-memory** run with a budget of half the query's unbounded
   buffer peak -- small enough that any query that buffers at all is forced
   to spill -- plus a bounded multi-query pass sharing one governor,
-* the **fast path** (:mod:`repro.fastpath`): options-selected accelerated
-  runs -- collected, bounded-memory (same halved budget) and push-mode with
-  *byte* chunks split mid-multibyte-UTF-8 and mid-markup -- plus a
-  fast-path variant of every multi-query pass; output bytes and the logical
-  peak-buffer statistics must match the classic pipeline exactly,
 * the **session/feed path**: a :class:`~repro.core.session.FluxSession`
   prepares every query through the plan cache and executes it in **push
-  mode** (``open_run``/``feed``/``finish``) twice, with the document split
-  at adversarial chunk boundaries -- right before and right after every
-  ``<`` (every tag truncated mid-markup) and at a fixed tiny prime stride
-  (entities, names and text all straddle chunks).  Push mode must be
-  byte-identical to pull mode at *any* split,
+  mode** (``open_run``/``feed``/``finish``) four times, with the document
+  split at adversarial chunk boundaries -- right before and right after
+  every ``<`` (every tag truncated mid-markup) and at a fixed tiny prime
+  stride (entities, names and text all straddle chunks), as text chunks
+  and again as *byte* chunks (a 3-byte stride splits every multi-byte
+  UTF-8 sequence).  Push mode must be byte-identical to pull mode at
+  *any* split,
 * the **continuous feed** (:mod:`repro.feeds`): the case document
   concatenated three times into one stream, consumed through
-  ``open_feed`` on both pipelines with chunk splits placed right before,
+  ``open_feed`` with chunk splits placed right before,
   at, and right after every document-boundary byte, and again at the
   prime stride.  Every sealed document's output must be byte-identical
   to the solo run, its live-buffer counters must be back at the floor
@@ -53,8 +52,8 @@ the oracle asserts the runtime invariants that PRs 1-3 promised:
   per-owner ledgers (:mod:`repro.obs.attrib`) must account for every
   byte -- live bytes sum to the (zero) current counter, the at-peak
   snapshot sums to ``peak_buffered_bytes`` exactly, and spilled bytes sum
-  to ``spilled_bytes_written`` -- in every mode: classic and fast path,
-  solo and multi-query, bounded and unbounded,
+  to ``spilled_bytes_written`` -- in every mode: solo and multi-query,
+  bounded and unbounded,
 * the **live-inspection endpoint** is side-effect free: one push-mode run
   per case executes with ``serve_metrics`` enabled and ``/metrics`` +
   ``/progress`` scraped mid-run; output bytes must be identical and the
@@ -429,66 +428,25 @@ class Oracle:
                 )
             )
 
-        # --- fast path: bytes-native accelerated core --------------------
-        # The same engine, options-selected: collected output, logical
-        # peak-buffer statistics and bounded-memory behaviour must all be
-        # indistinguishable from the classic pipeline.
-        fast_options = ExecutionOptions(fastpath=True, expand_attrs=expand)
-        try:
-            fast = engine.execute(case.document, options=fast_options)
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "fastpath-collect", f"run crashed: {exc!r}"))
-            return expected, peak
-        if fast.output != expected:
-            record(Divergence(name, "fastpath-collect", _diff(expected, fast.output)))
-        self._check_balanced(name, "fastpath-collect", fast.stats, record)
-        if fast.stats.peak_buffered_bytes != peak:
-            record(
-                Divergence(
-                    name,
-                    "fastpath-collect",
-                    f"fast-path peak {fast.stats.peak_buffered_bytes}B != "
-                    f"classic peak {peak}B",
-                )
-            )
-        try:
-            fast_bounded = engine.execute(
-                case.document, options=fast_options.replace(memory_budget=budget)
-            )
-        except Exception as exc:  # noqa: BLE001
-            record(Divergence(name, "fastpath-bounded", f"run crashed: {exc!r}"))
-            return expected, peak
-        if fast_bounded.output != expected:
-            record(Divergence(name, "fastpath-bounded", _diff(expected, fast_bounded.output)))
-        self._check_balanced(name, "fastpath-bounded", fast_bounded.stats, record)
-        if fast_bounded.stats.peak_resident_bytes > budget:
-            record(
-                Divergence(
-                    name,
-                    "fastpath-bounded",
-                    f"resident {fast_bounded.stats.peak_resident_bytes}B exceeds "
-                    f"the {budget}B budget",
-                )
-            )
-        if fast_bounded.stats.peak_buffered_bytes != peak:
-            record(
-                Divergence(
-                    name,
-                    "fastpath-bounded",
-                    f"logical peak {fast_bounded.stats.peak_buffered_bytes}B != "
-                    f"unbounded classic peak {peak}B",
-                )
-            )
-
         # --- session push mode at adversarial chunk splits ---------------
         try:
             prepared = session.prepare(source)
         except Exception as exc:  # noqa: BLE001
             record(Divergence(name, "session-prepare", f"prepare crashed: {exc!r}"))
             return expected, peak
+        # Text chunks exercise the str entry; byte chunks are the zero-copy
+        # entry.  A stride of 3 bytes guarantees every multi-byte UTF-8
+        # sequence in the document is split mid-sequence at least once; the
+        # markup family re-runs the hostile truncated-tag splits as bytes.
+        encoded = case.document.encode("utf-8")
         for label, chunks in (
             ("feed-markup-splits", _split_at_markup(case.document)),
             (f"feed-stride-{FEED_STRIDE}", _split_fixed(case.document, FEED_STRIDE)),
+            (
+                "feed-bytes-markup",
+                [chunk.encode("utf-8") for chunk in _split_at_markup(case.document)],
+            ),
+            ("feed-bytes-stride-3", [encoded[i : i + 3] for i in range(0, len(encoded), 3)]),
         ):
             try:
                 run = prepared.open_run(expand_attrs=expand)
@@ -511,73 +469,35 @@ class Oracle:
                     )
                 )
 
-        # --- fast-path push mode: byte chunks, mid-multibyte splits -------
-        # Byte feeds are the fast path's zero-copy entry.  A stride of 3
-        # bytes guarantees every multi-byte UTF-8 sequence in the document
-        # is split mid-sequence at least once; the markup family re-runs
-        # the hostile truncated-tag splits through the byte scanner.
-        encoded = case.document.encode("utf-8")
-        for label, byte_chunks in (
-            (
-                "fastpath-feed-bytes-markup",
-                [chunk.encode("utf-8") for chunk in _split_at_markup(case.document)],
-            ),
-            (
-                "fastpath-feed-bytes-stride-3",
-                [encoded[i : i + 3] for i in range(0, len(encoded), 3)],
-            ),
-        ):
-            try:
-                run = prepared.open_run(options=fast_options)
-                for chunk in byte_chunks:
-                    run.feed(chunk)
-                fed = run.finish()
-            except Exception as exc:  # noqa: BLE001
-                record(Divergence(name, label, f"feed run crashed: {exc!r}"))
-                return expected, peak
-            if fed.output != expected:
-                record(Divergence(name, label, _diff(expected, fed.output)))
-            self._check_balanced(name, label, fed.stats, record)
-            if fed.stats.peak_buffered_bytes != peak:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"fast-path push-mode peak {fed.stats.peak_buffered_bytes}B != "
-                        f"pull-mode peak {peak}B (chunking must not change buffering)",
-                    )
-                )
-
         # --- tracing must be invisible (:mod:`repro.obs`) -----------------
         # A traced run executes instrumented stage loops; output bytes and
         # the paper's logical buffering figure must not move, and the span
         # tree a run leaves behind must be structurally well-formed.
-        for label, traced_options in (
-            ("traced-classic", ExecutionOptions(trace=True, expand_attrs=expand)),
-            ("traced-fastpath", fast_options.replace(trace=True)),
-        ):
-            try:
-                traced = engine.execute(case.document, options=traced_options)
-            except Exception as exc:  # noqa: BLE001
-                record(Divergence(name, label, f"traced run crashed: {exc!r}"))
-                return expected, peak
-            if traced.output != expected:
-                record(Divergence(name, label, _diff(expected, traced.output)))
-            self._check_balanced(name, label, traced.stats, record)
-            if traced.stats.peak_buffered_bytes != peak:
-                record(
-                    Divergence(
-                        name,
-                        label,
-                        f"traced peak {traced.stats.peak_buffered_bytes}B != "
-                        f"untraced peak {peak}B (tracing must not change buffering)",
-                    )
+        label = "traced"
+        try:
+            traced = engine.execute(
+                case.document, options=ExecutionOptions(trace=True, expand_attrs=expand)
+            )
+        except Exception as exc:  # noqa: BLE001
+            record(Divergence(name, label, f"traced run crashed: {exc!r}"))
+            return expected, peak
+        if traced.output != expected:
+            record(Divergence(name, label, _diff(expected, traced.output)))
+        self._check_balanced(name, label, traced.stats, record)
+        if traced.stats.peak_buffered_bytes != peak:
+            record(
+                Divergence(
+                    name,
+                    label,
+                    f"traced peak {traced.stats.peak_buffered_bytes}B != "
+                    f"untraced peak {peak}B (tracing must not change buffering)",
                 )
-            if traced.trace is None:
-                record(Divergence(name, label, "trace=True produced no trace report"))
-            else:
-                for problem in validate_span_tree(traced.trace.spans):
-                    record(Divergence(name, label, f"malformed span tree: {problem}"))
+            )
+        if traced.trace is None:
+            record(Divergence(name, label, "trace=True produced no trace report"))
+        else:
+            for problem in validate_span_tree(traced.trace.spans):
+                record(Divergence(name, label, f"malformed span tree: {problem}"))
 
         report.output_bytes += len(expected)
         report.peak_buffered_bytes = max(report.peak_buffered_bytes, peak)
@@ -605,8 +525,7 @@ class Oracle:
 
         Chunk splits are placed right before, at, and right after every
         document-boundary byte (the splits most likely to confuse boundary
-        detection), then at the prime stride; both pipelines run both
-        families.  Per sealed document: byte-identity with the solo run,
+        detection), then at the prime stride.  Per sealed document: byte-identity with the solo run,
         live buffers back at the zero floor, logical peak equal to the solo
         peak.  Finally one resumed feed replays everything past the first
         document's recorded ``end_offset`` byte-identically.
@@ -629,21 +548,18 @@ class Oracle:
             stream[i : i + FEED_STRIDE] for i in range(0, len(stream), FEED_STRIDE)
         ]
         first_end = None
-        for fast in (False, True):
-            options = ExecutionOptions(
-                fastpath=True if fast else None, expand_attrs=case.expand_attrs
-            )
-            for family, chunks in (
-                ("boundary-splits", boundary_chunks),
-                (f"stride-{FEED_STRIDE}", stride_chunks),
-            ):
-                label = f"feed-{family}{'-fastpath' if fast else ''}"
-                documents = self._run_feed(session, source, options, chunks, record, name, label)
-                if documents is None:
-                    return
-                self._check_feed_documents(name, label, documents, expected, peak, record)
-                if documents and first_end is None:
-                    first_end = documents[0].end_offset
+        options = ExecutionOptions(expand_attrs=case.expand_attrs)
+        for family, chunks in (
+            ("boundary-splits", boundary_chunks),
+            (f"stride-{FEED_STRIDE}", stride_chunks),
+        ):
+            label = f"feed-{family}"
+            documents = self._run_feed(session, source, options, chunks, record, name, label)
+            if documents is None:
+                return
+            self._check_feed_documents(name, label, documents, expected, peak, record)
+            if documents and first_end is None:
+                first_end = documents[0].end_offset
 
         # Crash-recovery contract: resume past document 0, replay the rest.
         if first_end is not None and self.FEED_COPIES > 1:
@@ -651,7 +567,7 @@ class Oracle:
             documents = self._run_feed(
                 session,
                 source,
-                ExecutionOptions(expand_attrs=case.expand_attrs),
+                options,
                 boundary_chunks,
                 record,
                 name,
@@ -822,12 +738,8 @@ class Oracle:
         if any(solo_peaks.values()):
             total_peak = sum(solo_peaks.values())
             budgets.append(max(self.min_budget_bytes, total_peak // 2))
-        # Every budget configuration runs through both scan implementations:
-        # the classic merged projector and the fast path's shared byte scan.
-        for budget, fast in [(b, f) for b in budgets for f in (False, True)]:
+        for budget in budgets:
             label = "multiquery" if budget is None else f"multiquery-bounded({budget}B)"
-            if fast:
-                label = f"{label}-fastpath"
             try:
                 # Sharing the case session's plan cache skips recompiling
                 # every query per budget pass (keys embed the fingerprint).
@@ -837,7 +749,6 @@ class Oracle:
                     run = bounded_session.prepare_many(case.query_map).execute(
                         case.document,
                         expand_attrs=case.expand_attrs,
-                        fastpath=True if fast else None,
                     )
             except Exception as exc:  # noqa: BLE001
                 record(Divergence("*", label, f"shared pass crashed: {exc!r}"))

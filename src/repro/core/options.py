@@ -6,7 +6,9 @@ Before the session redesign, every layer of the engine threaded
 is the single carrier for all per-run knobs; compile-time choices
 (projection, simplifications, safety) stay parameters of
 :meth:`~repro.core.session.FluxSession.prepare` because they select *which
-plan* is built, not how a run executes it.
+plan* is built, not how a run executes it.  There is no option that picks
+a document pipeline: every run reads its input with the byte scanner of
+:mod:`repro.fastpath`.
 
 Options are immutable; derive variants with :meth:`ExecutionOptions.replace`
 or build one from legacy keyword spellings with
@@ -82,21 +84,13 @@ class ExecutionOptions:
         budget.
     chunk_size:
         Read size for pull-mode document sources.
-    fastpath:
-        Request the bytes-native accelerated engine core
-        (:mod:`repro.fastpath`) for this run.  ``None`` (the default) means
-        "not requested" -- the classic pipeline runs unless the
-        ``REPRO_FASTPATH`` environment variable forces the fast path on.
-        ``REPRO_FASTPATH=0`` overrides ``True`` (kill switch), and runs the
-        fast path cannot serve (``expand_attrs``) silently fall back to the
-        classic pipeline.  Results are byte-identical either way.
     trace:
         Request per-run stage tracing (:mod:`repro.obs`): the result gains a
         ``trace`` report with the per-stage time/bytes/events breakdown and
         the span tree.  ``None`` (the default) defers to the ``REPRO_TRACE``
-        environment variable (``1`` forces on, ``0`` forces off, mirroring
-        ``REPRO_FASTPATH``).  Tracing never changes output bytes or the
-        logical buffering peaks -- the conformance oracle asserts this.
+        environment variable (``1`` forces on, ``0`` forces off).  Tracing
+        never changes output bytes or the logical buffering peaks -- the
+        conformance oracle asserts this.
     serve_metrics:
         Serve live run inspection over HTTP (:mod:`repro.obs.serve`) on
         ``127.0.0.1:<port>`` for the duration of the process: ``/metrics``
@@ -122,7 +116,6 @@ class ExecutionOptions:
     memory_budget: Optional[int] = None
     memory_page_bytes: Optional[int] = None
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    fastpath: Optional[bool] = None
     trace: Optional[bool] = None
     serve_metrics: Optional[int] = None
     feed: Optional[FeedOptions] = None
@@ -143,6 +136,12 @@ class ExecutionOptions:
             raise ValueError(f"feed must be a FeedOptions, got {self.feed!r}")
         if self.join not in JOIN_MODES:
             raise ValueError(f"join must be one of {JOIN_MODES}, got {self.join!r}")
+
+    @property
+    def fastpath(self) -> bool:
+        """Always ``True``: every run reads its document with the byte scanner."""
+        # Kept only until perfbench/run.py no longer reads it.
+        return True
 
     def replace(self, **changes) -> "ExecutionOptions":
         """A copy with the given fields changed (validation re-runs)."""

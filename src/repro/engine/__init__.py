@@ -2,9 +2,9 @@
 
 The engine compiles a safe FluX query (plus the DTD it was scheduled
 against) into a :class:`~repro.engine.plan.QueryPlan` and executes it as the
-*execute* stage of the push-based pipeline (:mod:`repro.pipeline`)::
+*execute* stage of a run (:mod:`repro.pipeline`)::
 
-    tokenize -> coalesce/normalize -> project -> execute -> sink
+    scan + project (repro.fastpath) -> execute -> sink
 
 Plan side (built once per query):
 

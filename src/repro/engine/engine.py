@@ -7,8 +7,9 @@
 3. schedule it into a safe FluX query using the DTD (Figure 2),
 4. compile the FluX query into an executable plan (buffer trees, handlers,
    punctuation tables) plus the pre-executor projection filter,
-5. execute the plan over a streaming document through the push-based
-   pipeline (``tokenize -> coalesce -> project -> execute -> sink``),
+5. execute the plan over a streaming document: the byte scanner
+   (:mod:`repro.fastpath`) tokenizes and projects the input, the executor
+   runs the plan over the surviving events and a sink takes the output,
    producing the result and the memory/time statistics.
 
 The engine can equally be constructed from an already-built FluX query
@@ -45,7 +46,7 @@ from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.dtd.schema import DTD, ROOT_ELEMENT
 from repro.engine.executor import ExecutionResult, StreamExecutor
 from repro.engine.plan import QueryPlan, compile_plan
-from repro.fastpath import FastEventPipeline, use_fastpath
+from repro.fastpath.pipeline import FastEventPipeline
 from repro.flux.ast import FluxExpr
 from repro.flux.rewrite import RewriteResult, rewrite_to_flux
 from repro.obs import recorder as _flight
@@ -53,8 +54,8 @@ from repro.obs import serve as _serve
 from repro.obs.export import append_jsonl
 from repro.obs.observer import Observer, TraceReport, use_tracing
 from repro.obs.runtime import record_run
-from repro.pipeline.pipeline import EventPipeline
 from repro.pipeline.sinks import FragmentSink, resolve_sink
+from repro.pipeline.stages import batched, coalesce_batches
 from repro.storage.governor import MemoryGovernor
 from repro.xmlstream.parser import DocumentSource
 from repro.xquery.ast import ROOT_VARIABLE, XQExpr
@@ -92,9 +93,7 @@ from repro.engine.stats import RunStatistics  # noqa: E402  (documented forward 
 _obs_run_ids = itertools.count()
 
 
-def _finish_observation(
-    observer, stats, *, fastpath: bool = False, push: bool = False
-) -> Optional[TraceReport]:
+def _finish_observation(observer, stats, *, push: bool = False) -> Optional[TraceReport]:
     """Seal one *completed* run's observability state.
 
     Folds the run into the always-on global telemetry (every run, traced or
@@ -103,15 +102,9 @@ def _finish_observation(
     exactly once per finished run from each execution shape; aborted runs
     never reach it.
     """
-    record_run(
-        stats,
-        traced=observer is not None and observer.enabled,
-        fastpath=fastpath,
-        push=push,
-    )
+    record_run(stats, traced=observer is not None and observer.enabled, push=push)
     if observer is None or not observer.enabled:
         return None
-    observer.fastpath = fastpath
     report = observer.finish(stats)
     path = os.environ.get("REPRO_OBS_JSON")
     if path:
@@ -172,7 +165,6 @@ class StreamingRun:
         owns_governor: bool = True,
         on_finish=None,
         observer=None,
-        fastpath: bool = False,
         options: Optional[ExecutionOptions] = None,
     ):
         self._executor = executor
@@ -183,7 +175,6 @@ class StreamingRun:
         self._consumed = False
         self._on_finish = on_finish
         self._observer = observer
-        self._fastpath = fastpath
         self.stats: RunStatistics = executor.stats
         #: The finished run's :class:`TraceReport` (traced runs only).
         self.trace: Optional[TraceReport] = None
@@ -262,18 +253,12 @@ class StreamingRun:
             fragment = sink.drain()
             if fragment:
                 yield fragment
-            self.trace = _finish_observation(observer, self.stats, fastpath=self._fastpath)
+            self.trace = _finish_observation(observer, self.stats)
             if self._on_finish is not None:
                 self._on_finish(self.stats)
         except Exception as exc:
             # Abandonment (GeneratorExit) is not a crash; engine errors are.
-            _flight.dump_crash(
-                exc,
-                stats=self.stats,
-                options=self._options,
-                mode="stream",
-                fastpath=self._fastpath,
-            )
+            _flight.dump_crash(exc, stats=self.stats, options=self._options, mode="stream")
             raise
         finally:
             # An owned governor is per-run: its spill file dies with the
@@ -311,7 +296,6 @@ class RunHandle:
         owns_governor: bool = True,
         on_finish=None,
         observer=None,
-        fastpath: bool = False,
         options: Optional[ExecutionOptions] = None,
         annotations: Optional[dict] = None,
     ):
@@ -320,7 +304,6 @@ class RunHandle:
         self._governor = governor if owns_governor else None
         self._on_finish = on_finish
         self._observer = observer
-        self._fastpath = fastpath
         self._options = options
         # Caller-supplied watermarks (a feed's exact document offsets);
         # merged into /progress snapshots and crash dumps verbatim.
@@ -351,7 +334,7 @@ class RunHandle:
             observer.stage("execute").seconds += span.record.seconds
         else:
             executor.begin()
-        _flight.RECORDER.note("run-begin", "push", fastpath)
+        _flight.RECORDER.note("run-begin", "push", True)
         # Every open push run is visible on /progress (whether or not a
         # server is listening, registration is one dict insert).
         self._progress_key = _serve.register_run(self._progress)
@@ -364,7 +347,6 @@ class RunHandle:
         entry = {
             "mode": "push",
             "state": self._state,
-            "fastpath": self._fastpath,
             "bytes_fed": self._fed_bytes,
             "chunks_fed": self._chunks_fed,
             "document_offset": stats.input_bytes,
@@ -403,7 +385,6 @@ class RunHandle:
             stats=self.stats,
             options=self._options,
             mode="push",
-            fastpath=self._fastpath,
             chunk_offsets=self._chunk_offsets,
             context=self._annotations,
         )
@@ -482,7 +463,7 @@ class RunHandle:
         self._abort_finalizer()  # no live buffers remain: a no-op teardown
         if self._finalizer is not None:
             self._finalizer()
-        trace = _finish_observation(observer, self.stats, fastpath=self._fastpath, push=True)
+        trace = _finish_observation(observer, self.stats, push=True)
         self.result = FluxRunResult(output=execution.output, stats=execution.stats, trace=trace)
         if self._on_finish is not None:
             self._on_finish(self.stats)
@@ -573,11 +554,7 @@ class FluxEngine:
             flux = self.rewrite_result.flux
         self.flux = flux
         self.plan: QueryPlan = compile_plan(flux, dtd, root_var=root_var, require_safe=require_safe)
-        self.pipeline = EventPipeline(self.plan, projection=projection)
-        # The accelerated twin of ``pipeline`` (same plan, same projection
-        # automaton, bytes-native stages).  Built lazily on the first run
-        # that selects it, then engine-shared like the classic pipeline.
-        self._fast_pipeline: Optional[FastEventPipeline] = None
+        self.pipeline = FastEventPipeline(self.plan, projection=projection)
 
     # ----------------------------------------------------------- inspection
 
@@ -616,40 +593,22 @@ class FluxEngine:
         stats: Optional[RunStatistics] = None,
         governor: Optional[MemoryGovernor] = None,
         join: str = "indexed",
+        count_input: Optional[bool] = None,
     ) -> StreamExecutor:
         stats = stats or RunStatistics()
+        if count_input is None:
+            # With the projection filter active, input accounting happens in
+            # the filter (pre-drop); the executor must not double-count.
+            count_input = not self.pipeline.projection_enabled
         return StreamExecutor(
             self.plan,
             collect_output=collect_output,
             stats=stats,
             sink=sink,
-            # With the projection filter active, input accounting happens in
-            # the filter (pre-drop); the executor must not double-count.
-            count_input=not self.pipeline.projection_enabled,
+            count_input=count_input,
             buffer_factory=governor.make_buffer if governor is not None else None,
             join=join,
         )
-
-    def _pipeline_for(self, options: ExecutionOptions):
-        """Select the document stages for one run (classic or fast path).
-
-        Selection is per run (:func:`repro.fastpath.use_fastpath`): the
-        ``REPRO_FASTPATH`` environment variable overrides, then
-        ``options.fastpath`` decides.  Both pipelines share the plan and the
-        projection automaton, so ``projection_enabled`` -- and with it the
-        executor's input-accounting mode -- agrees between them.
-        """
-        if not use_fastpath(options.fastpath, expand_attrs=options.expand_attrs):
-            return self.pipeline
-        fast = self._fast_pipeline
-        if fast is None:
-            fast = FastEventPipeline(
-                self.plan,
-                self.pipeline.projection_spec,
-                chunk_size=self.pipeline.chunk_size,
-            )
-            self._fast_pipeline = fast
-        return fast
 
     def _run_setup(self, options, sink, governor, owns_governor: bool):
         """The shared preamble of every execution shape.
@@ -704,9 +663,8 @@ class FluxEngine:
         executor = self._executor(
             sink=bound_sink, stats=stats, governor=governor, join=options.join
         )
-        pipeline = self._pipeline_for(options)
         try:
-            batches = pipeline.event_batches(
+            batches = self.pipeline.event_batches(
                 document,
                 expand_attrs=options.expand_attrs,
                 stats=stats,
@@ -716,13 +674,7 @@ class FluxEngine:
             result: ExecutionResult = executor.run_batches(batches, observer=observer)
         except BaseException as exc:
             if isinstance(exc, Exception):
-                _flight.dump_crash(
-                    exc,
-                    stats=stats,
-                    options=options,
-                    mode="pull",
-                    fastpath=pipeline is not self.pipeline,
-                )
+                _flight.dump_crash(exc, stats=stats, options=options, mode="pull")
             # A failed run must not leave its live buffers' pages charged
             # against a *shared* (session-owned) governor; an owned one is
             # closed below, which releases everything at once.
@@ -732,7 +684,7 @@ class FluxEngine:
         finally:
             if owned and governor is not None:
                 governor.close()
-        trace = _finish_observation(observer, stats, fastpath=pipeline is not self.pipeline)
+        trace = _finish_observation(observer, stats)
         if on_finish is not None:
             on_finish(stats)
         return FluxRunResult(output=result.output, stats=result.stats, trace=trace)
@@ -767,8 +719,7 @@ class FluxEngine:
         executor = self._executor(
             sink=bound_sink, stats=stats, governor=governor, join=options.join
         )
-        pipeline = self._pipeline_for(options)
-        feed = pipeline.open_feed(
+        feed = self.pipeline.open_feed(
             expand_attrs=options.expand_attrs,
             stats=stats,
             observer=observer,
@@ -781,7 +732,6 @@ class FluxEngine:
             owns_governor=owned,
             on_finish=on_finish,
             observer=observer,
-            fastpath=pipeline is not self.pipeline,
             options=options,
             annotations=annotations,
         )
@@ -841,8 +791,7 @@ class FluxEngine:
         executor = self._executor(
             sink=sink, stats=stats, governor=governor, join=options.join
         )
-        pipeline = self._pipeline_for(options)
-        batches = pipeline.event_batches(
+        batches = self.pipeline.event_batches(
             document,
             expand_attrs=options.expand_attrs,
             stats=stats,
@@ -857,7 +806,6 @@ class FluxEngine:
             owns_governor=owned,
             on_finish=on_finish,
             observer=observer,
-            fastpath=pipeline is not self.pipeline,
             options=options,
         )
 
@@ -877,12 +825,17 @@ class FluxEngine:
         )
 
     def run_events(self, events, *, collect_output: bool = True) -> FluxRunResult:
-        """Execute the query over an already-parsed event iterable."""
+        """Execute the query over an already-parsed event iterable.
+
+        The events skip the document stages (there are no bytes to scan),
+        so the executor sees them unprojected and counts the input itself.
+        """
         governor = self._make_governor()
         try:
-            executor = self._executor(collect_output=collect_output, governor=governor)
-            batches = self.pipeline.adapt_events(events, executor.stats)
-            result: ExecutionResult = executor.run_batches(batches)
+            executor = self._executor(
+                collect_output=collect_output, governor=governor, count_input=True
+            )
+            result: ExecutionResult = executor.run_batches(coalesce_batches(batched(events)))
         finally:
             if governor is not None:
                 governor.close()

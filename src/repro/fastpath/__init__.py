@@ -1,36 +1,27 @@
-"""Opt-in accelerated engine core (bytes-native fast path).
+"""The engine's document pipeline (bytes-native).
 
-This package is a drop-in replacement for the document stages of the
-classic pipeline (tokenize -> coalesce -> project over event dataclasses):
+Every run mode -- pull, stream, push, feed, multi-query and serve -- reads
+its document through this package:
 
 * :mod:`repro.fastpath.scanner` -- a zero-copy tokenizer that walks
-  ``bytes``/``memoryview``/``mmap`` input directly and defers all UTF-8
-  decoding until character data is actually emitted,
+  ``bytes``/``memoryview``/``mmap`` input directly, defers all UTF-8
+  decoding until character data is actually emitted, and applies the
+  paper's attribute-to-subelement expansion (``expand_attrs``) as it scans,
 * :mod:`repro.fastpath.batch` -- struct-of-arrays event batches (packed
   integer words + byte spans) between the scanner and the executor
-  boundary, materialized into classic events lazily,
+  boundary, materialized into events lazily,
 * :mod:`repro.fastpath.dfa` -- the projection automaton compiled to a flat
   integer transition table indexed by ``state * width + tag_id``, including
   the multi-query merged filter's membership bitsets.
 
-Selection
----------
-
-The fast path is **off by default** and never changes results -- the
-pure-Python pipeline remains the executable specification, and the
-conformance oracle (``repro.conformance``) cross-checks the two byte for
-byte.  Resolution order:
-
-1. ``REPRO_FASTPATH=0`` -- never use the fast path (environment kill switch).
-2. ``REPRO_FASTPATH=1`` -- use it whenever the run supports it
-   (``expand_attrs`` runs always fall back to the classic pipeline).
-3. ``REPRO_FASTPATH`` unset or ``auto`` -- follow
-   :attr:`repro.core.options.ExecutionOptions.fastpath` (``None`` means off).
+The event tokenizer of :mod:`repro.xmlstream` is not part of any run mode:
+it is the independent reference the conformance oracle
+(:mod:`repro.conformance`) and the naive baseline parse with, so every run
+mode is still cross-checked byte for byte against a second implementation.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.fastpath.batch import SoABatch
@@ -40,39 +31,14 @@ from repro.fastpath.pipeline import FastEventPipeline, FastPipelineFeed
 from repro.fastpath.scanner import ByteScanner
 from repro.fastpath.tags import TagTable
 
-FASTPATH_ENV = "REPRO_FASTPATH"
 
-
-def fastpath_mode() -> str:
-    """Resolve :envvar:`REPRO_FASTPATH` to ``"0"``, ``"1"`` or ``"auto"``."""
-    value = os.environ.get(FASTPATH_ENV, "auto").strip().lower()
-    if value in ("0", "off", "false", "no"):
-        return "0"
-    if value in ("1", "on", "true", "yes"):
-        return "1"
-    return "auto"
-
-
-def use_fastpath(requested: Optional[bool], *, expand_attrs: bool = False) -> bool:
-    """Decide whether a run takes the fast path.
-
-    ``requested`` is the per-run :class:`~repro.core.options.ExecutionOptions`
-    field (``None`` means "not requested").  ``expand_attrs`` runs are not
-    supported by the fast path and always fall back to the classic pipeline,
-    even under ``REPRO_FASTPATH=1``.
-    """
-    mode = fastpath_mode()
-    if mode == "0":
-        return False
-    if expand_attrs:
-        return False
-    if mode == "1":
-        return True
-    return bool(requested)
+def use_fastpath(requested: Optional[bool] = None) -> bool:
+    """Always ``True``: the byte pipeline is the only one."""
+    # Kept only until perfbench/run.py no longer calls it.
+    return True
 
 
 __all__ = [
-    "FASTPATH_ENV",
     "ByteScanner",
     "FastEventPipeline",
     "FastFanout",
@@ -80,7 +46,6 @@ __all__ = [
     "FlatProjectionTable",
     "SoABatch",
     "TagTable",
-    "fastpath_mode",
     "table_for_merged",
     "table_for_spec",
     "use_fastpath",

@@ -14,10 +14,10 @@ events as parallel columns instead of per-event dataclasses:
 
 Nothing in a batch owns decoded text: the UTF-8 decode, entity decoding and
 attribute parsing all happen in :func:`materialize` -- once, for survivors
-only.  Adjacent character rows are merged during materialization, mirroring
-the classic pipeline's coalesce stage (within a batch; batch boundaries
-never split one text node, because the scanner holds text pending until the
-next ``<``).
+only.  The exception is attribute expansion, whose decoded values ride in
+``literals``.  Adjacent character rows are merged during materialization
+(within a batch; batch boundaries never split one text node, because the
+scanner holds text pending until the next ``<``).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ K_TEXT = 2  # character data span (entity references still encoded)
 K_CDATA = 3  # CDATA content span (no entity decoding)
 K_START_C = 4  # complex start tag: span is the raw tag body (attrs/uninterned)
 K_END_C = 5  # uninterned end tag: span is the name
+K_LITERAL = 6  # a prebuilt event (expanded attribute): tag field indexes ``literals``
 
 KIND_BITS = 3
 TAG_SHIFT = KIND_BITS
@@ -48,17 +49,21 @@ TAG_MASK = (1 << (STATE_SHIFT - TAG_SHIFT)) - 1
 class SoABatch:
     """One scanner output batch: packed words + text spans over ``buffer``.
 
-    ``seen`` / ``cost`` carry the batch's *pre-projection* input accounting
-    (what the classic projector would have recorded), so statistics keep
-    describing the document that was read, not the survivors.
+    ``seen`` / ``cost`` carry the batch's *pre-projection* input accounting,
+    so statistics keep describing the document that was read, not the
+    survivors.  ``base`` is the absolute document offset of ``buffer[0]``
+    (non-zero in push mode), so errors raised while materializing report
+    document offsets.
     """
 
-    __slots__ = ("words", "spans", "buffer", "tags", "seen", "cost")
+    __slots__ = ("words", "spans", "literals", "buffer", "base", "tags", "seen", "cost")
 
-    def __init__(self, buffer, tags: TagTable):
+    def __init__(self, buffer, tags: TagTable, base: int = 0):
         self.words = array("q")
         self.spans = array("q")
+        self.literals: List[Event] = []
         self.buffer = buffer
+        self.base = base
         self.tags = tags
         self.seen = 0
         self.cost = 0
@@ -66,8 +71,18 @@ class SoABatch:
     def __len__(self) -> int:
         return len(self.words)
 
+    def literal(self, event: Event, state_bits: int) -> None:
+        """Append a row carrying a prebuilt event (no span in ``buffer``).
+
+        Attribute expansion produces text that is not a byte range of the
+        input (decoded attribute values) and, past the tag-table cap,
+        element names that have no id; such rows carry the event itself.
+        """
+        self.words.append(K_LITERAL | (len(self.literals) << TAG_SHIFT) | state_bits)
+        self.literals.append(event)
+
     def materialize(self) -> List[Event]:
-        """Decode the batch into classic events (the executor boundary)."""
+        """Decode the batch into events (the executor boundary)."""
         words = self.words
         out: List[Event] = []
         if not words:
@@ -101,7 +116,7 @@ class SoABatch:
                 si += 2
                 text = buffer[start:end].decode("utf-8")
                 if kind == K_TEXT and "&" in text:
-                    text = decode_entities(text, start)
+                    text = decode_entities(text, self.base + start)
                 pending = text if pending is None else pending + text
             elif kind == K_START_C:
                 start = spans[si]
@@ -110,9 +125,11 @@ class SoABatch:
                 if pending is not None:
                     append(chars(pending))
                     pending = None
-                name, attributes = parse_tag_body(buffer[start:end].decode("utf-8"), start)
+                name, attributes = parse_tag_body(
+                    buffer[start:end].decode("utf-8"), self.base + start
+                )
                 append(StartElement(name, tuple(attributes)))
-            else:  # K_END_C
+            elif kind == K_END_C:
                 start = spans[si]
                 end = spans[si + 1]
                 si += 2
@@ -120,6 +137,11 @@ class SoABatch:
                     append(chars(pending))
                     pending = None
                 append(EndElement(buffer[start:end].decode("utf-8")))
+            else:  # K_LITERAL: never adjacent to other text rows
+                if pending is not None:
+                    append(chars(pending))
+                    pending = None
+                append(self.literals[(word >> TAG_SHIFT) & TAG_MASK])
         if pending is not None:
             append(chars(pending))
         return out
@@ -135,9 +157,8 @@ class SoABatch:
 
         ``keep_masks`` / ``chars_masks`` are the flat table's per-state
         bitsets; each row's packed state index selects the queries that
-        receive the materialized event, exactly as the classic
-        :meth:`~repro.pipeline.fanout.MergedStreamProjector.split_batch`
-        distributes events by interned-state membership.  Adjacent text rows
+        receive the materialized event, so query *i* gets exactly what its
+        solo projection filter keeps.  Adjacent text rows
         share one state (nothing kept may sit between them), so coalescing
         before distribution is safe.
         """
@@ -183,7 +204,7 @@ class SoABatch:
                 si += 2
                 text = buffer[start:end].decode("utf-8")
                 if kind == K_TEXT and "&" in text:
-                    text = decode_entities(text, start)
+                    text = decode_entities(text, self.base + start)
                 if parts is None:
                     parts = [text]
                     parts_mask = chars_masks[state]
@@ -195,11 +216,13 @@ class SoABatch:
                 si += 2
                 if parts is not None:
                     flush_text()
-                name, attributes = parse_tag_body(buffer[start:end].decode("utf-8"), start)
+                name, attributes = parse_tag_body(
+                    buffer[start:end].decode("utf-8"), self.base + start
+                )
                 event = StartElement(name, tuple(attributes))
                 for index in indices_for(keep_masks[state]):
                     appends[index](event)
-            else:  # K_END_C
+            elif kind == K_END_C:
                 start = spans[si]
                 end = spans[si + 1]
                 si += 2
@@ -207,6 +230,13 @@ class SoABatch:
                     flush_text()
                 event = EndElement(buffer[start:end].decode("utf-8"))
                 for index in indices_for(keep_masks[state]):
+                    appends[index](event)
+            else:  # K_LITERAL
+                if parts is not None:
+                    flush_text()
+                event = self.literals[(word >> TAG_SHIFT) & TAG_MASK]
+                masks = chars_masks if event.__class__ is Characters else keep_masks
+                for index in indices_for(masks[state]):
                     appends[index](event)
         if parts is not None:
             flush_text()
@@ -221,6 +251,7 @@ __all__ = [
     "K_CDATA",
     "K_START_C",
     "K_END_C",
+    "K_LITERAL",
     "KIND_MASK",
     "TAG_MASK",
     "TAG_SHIFT",

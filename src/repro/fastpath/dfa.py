@@ -1,17 +1,16 @@
 """Projection automaton compiled to a flat integer transition table.
 
-The classic filters (:class:`~repro.pipeline.projection.ProjectionSpec` and
-the multi-query :class:`~repro.pipeline.fanout.MergedProjectionSpec`)
-memoize transitions in per-state dicts keyed by tag *strings*.  The fast
-path replaces the steady-state lookup with one integer index into a single
-``array('i')`` laid out as ``state_index * width + tag_id``.
+The projection automata (:class:`~repro.pipeline.projection.ProjectionSpec`
+and the multi-query :class:`~repro.pipeline.fanout.MergedProjectionSpec`)
+compute transitions on tag *strings*.  The scanner's steady-state lookup is
+one integer index into a single ``array('i')`` laid out as
+``state_index * width + tag_id``.
 
-The table is a lazy *cache in front of* the classic automaton, never a
-reimplementation: an :data:`UNKNOWN` cell delegates to the classic
+The table is a lazy *cache in front of* the automaton, never a
+reimplementation: an :data:`UNKNOWN` cell delegates to the automaton's
 ``transition`` (via the adapter functions bound at construction), interns
-the successor, writes the cell and returns -- so the fast path's keep/drop
-decisions agree with the reference implementation by construction, for any
-plan.  Only the ``(state, tag)`` pairs the documents actually contain are
+the successor, writes the cell and returns -- so the keep/drop decisions
+are the automaton's by construction, for any plan.  Only the ``(state, tag)`` pairs the documents actually contain are
 ever materialized, exactly like the dict memos.
 
 State indices also carry the per-state metadata the scanner and the
@@ -41,7 +40,7 @@ from repro.pipeline.projection import KEEP_ALL, ProjectionSpec
 
 #: Cell value: drop the subtree rooted at this tag.
 DROP = -1
-#: Cell value: not computed yet -- delegate to the classic automaton.
+#: Cell value: not computed yet -- delegate to the automaton.
 UNKNOWN = -2
 
 #: ``describe(state_obj) -> (chars_keep, keep_mask, chars_mask)``
@@ -158,7 +157,7 @@ class FlatProjectionTable:
         """Transition by name for uninterned (past-the-cap) tags.
 
         Nothing is cached -- there is no tag id to key a cell on -- so
-        adversarial vocabularies degrade to classic per-occurrence lookup
+        adversarial vocabularies degrade to per-occurrence lookup
         cost without growing the table.
         """
         with self._lock:
@@ -197,8 +196,7 @@ def table_for_merged(spec: MergedProjectionSpec, tags: TagTable) -> FlatProjecti
     """Flat table over the multi-query merged union filter.
 
     The per-state membership masks come straight from the interned merged
-    states, so fan-out distribution agrees with the classic
-    :class:`~repro.pipeline.fanout.MergedStreamProjector` bit for bit.
+    states.
     """
 
     def describe(state) -> Tuple[bool, int, int]:

@@ -1,13 +1,10 @@
 """Bytes-native shared scan + fan-out for the multi-query engine.
 
-The classic multi-query path tokenizes and coalesces the document once and
-runs the merged union filter over event objects
-(:class:`~repro.pipeline.fanout.MergedStreamProjector`).  The fast variant
-scans bytes once, projects through the flat table compiled from the same
-:class:`~repro.pipeline.fanout.MergedProjectionSpec`, and distributes
-*materialized* survivors by the per-state membership bitsets -- so each
-query receives exactly the sub-stream its solo projection filter would have
-produced, byte for byte.
+The document is scanned once, projected through the flat table compiled
+from the :class:`~repro.pipeline.fanout.MergedProjectionSpec`, and the
+*materialized* survivors are distributed by the per-state membership
+bitsets -- so each query receives exactly the sub-stream its solo
+projection filter would have produced, byte for byte.
 """
 
 from __future__ import annotations
@@ -47,13 +44,15 @@ class FastFanout:
         document: DocumentSource,
         chunk_size: int,
         stats_list: Optional[Sequence] = None,
+        *,
+        expand_attrs: bool = False,
     ) -> Iterator[List[List[Event]]]:
         """One shared byte scan; yields per-query sub-batch lists.
 
         Every query's statistics record the pre-projection totals of the
-        shared pass, matching the classic merged projector.
+        shared pass, exactly what each query's solo run records.
         """
-        scanner = ByteScanner(self.tags, self.table)
+        scanner = ByteScanner(self.tags, self.table, expand_attrs=expand_attrs)
         kind, source, closer = resolve_bytes_source(document, chunk_size)
         count = self.spec.count
         keep_masks = self.table.keep_masks

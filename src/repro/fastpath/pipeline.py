@@ -1,22 +1,21 @@
-"""Fast-path mirrors of the classic pipeline surfaces.
+"""The engine's document stages: byte scan + flat-table projection.
 
-:class:`FastEventPipeline` is interchangeable with
-:class:`~repro.pipeline.pipeline.EventPipeline` from the engine's point of
-view -- same ``event_batches`` / ``open_feed`` signatures, same
-``projection_enabled`` contract, same statistics protocol (pre-drop input
-accounting when projection is active) -- but the document stages underneath
-are the bytes-native scanner and the flat-table filter instead of
-tokenize/coalesce/project over event dataclasses.  The executor boundary
-stays unchanged: every yielded batch is a list of classic
-:class:`~repro.xmlstream.events.Event` objects, materialized lazily from
-the struct-of-arrays rows of the survivors.
+:class:`FastEventPipeline` is the one document pipeline every run mode
+uses (pull, stream, push, feed).  The bytes-native scanner tokenizes,
+coalesces, expands attributes (``expand_attrs``) and projects in one pass
+over the input bytes; the executor boundary stays unchanged: every yielded
+batch is a list of :class:`~repro.xmlstream.events.Event` objects,
+materialized lazily from the struct-of-arrays rows of the survivors.
+Statistics follow one protocol: with projection active, pre-drop input
+accounting happens here; otherwise the executor counts the (unfiltered)
+events itself.
 
 The interning state (:class:`~repro.fastpath.tags.TagTable` and
 :class:`~repro.fastpath.dfa.FlatProjectionTable`) lives on the pipeline and
 is shared by all runs of the owning engine, so steady-state documents hit a
-warm table.  ``expand_attrs`` is *not* supported here -- the attribute
-expansion rewrites tag vocabulary mid-stream; engines route such runs to
-the classic pipeline instead (see :func:`repro.fastpath.use_fastpath`).
+warm table.  The event tokenizer of :mod:`repro.xmlstream` is not used
+here; it stays as the independent reference the conformance oracle and the
+naive baseline parse with.
 """
 
 from __future__ import annotations
@@ -40,18 +39,21 @@ class FastEventPipeline:
     def __init__(
         self,
         plan: QueryPlan,
-        projection_spec: Optional[ProjectionSpec] = None,
         *,
+        projection: bool = True,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
         self.plan = plan
         self.chunk_size = chunk_size
-        # The spec is shared with the engine's classic pipeline (already
-        # triviality-filtered there), so both paths delegate to one warm
-        # automaton and agree on ``projection_enabled``.
-        self._projection_spec = projection_spec
+        self._projection_spec: Optional[ProjectionSpec] = None
+        if projection:
+            spec = ProjectionSpec(plan)
+            # A trivial spec (root scope captures everything) would filter
+            # nothing; bypass it instead of paying a lookup per tag.
+            if not spec.trivial:
+                self._projection_spec = spec
         self.tags = TagTable()
-        self.table = table_for_spec(projection_spec, self.tags)
+        self.table = table_for_spec(self._projection_spec, self.tags)
 
     @property
     def projection_enabled(self) -> bool:
@@ -60,7 +62,11 @@ class FastEventPipeline:
 
     @property
     def projection_spec(self) -> Optional[ProjectionSpec]:
-        """The classic automaton the flat table delegates to (``None`` when bypassed)."""
+        """The automaton the flat table delegates to (``None`` when bypassed).
+
+        The multi-query fan-out merges these per-plan automata into one
+        union filter over a shared document pass.
+        """
         return self._projection_spec
 
     # -------------------------------------------------------------- batches
@@ -77,25 +83,21 @@ class FastEventPipeline:
         """The fully-staged batch stream for one document (pull mode).
 
         In-memory and file-backed sources are scanned in place (files via
-        ``mmap``); streaming sources feed the scanner chunk-wise.  Input
-        accounting mirrors the classic pipeline: with projection active and
-        ``stats`` given, pre-drop totals are recorded here, otherwise the
-        executor counts the (unfiltered) events itself.  An enabled
-        ``observer`` (:mod:`repro.obs`) selects the traced generator; off,
-        the pre-instrumentation generator runs unchanged.
+        ``mmap``); streaming sources feed the scanner chunk-wise.  With
+        projection active and ``stats`` given, pre-drop input totals are
+        recorded here, otherwise the executor counts the (unfiltered)
+        events itself.  An enabled ``observer`` (:mod:`repro.obs`) selects
+        the traced generator; off, the pre-instrumentation generator runs
+        unchanged.
         """
-        if expand_attrs:
-            raise ValueError(
-                "the fast path does not support expand_attrs; use the classic pipeline"
-            )
         size = chunk_size if chunk_size is not None else self.chunk_size
         record = stats if self.projection_enabled else None
+        scanner = ByteScanner(self.tags, self.table, expand_attrs=expand_attrs)
         if observer is not None and observer.enabled:
-            return self._generate_traced(document, size, record, observer)
-        return self._generate(document, size, record)
+            return self._generate_traced(scanner, document, size, record, observer)
+        return self._generate(scanner, document, size, record)
 
-    def _generate(self, document, size: int, record) -> Iterator[List[Event]]:
-        scanner = ByteScanner(self.tags, self.table)
+    def _generate(self, scanner, document, size: int, record) -> Iterator[List[Event]]:
         kind, source, closer = resolve_bytes_source(document, size)
         try:
             if kind == "buffer":
@@ -122,20 +124,19 @@ class FastEventPipeline:
         finally:
             closer()
 
-    def _generate_traced(self, document, size: int, record, observer) -> Iterator[List[Event]]:
+    def _generate_traced(self, scanner, document, size: int, record, observer) -> Iterator[List[Event]]:
         """Traced twin of :meth:`_generate`.
 
         The fast path has two document stages: ``scan`` (the bytes-native
         scanner, projection included via the flat table) and
-        ``materialize`` (struct-of-arrays rows back to classic events).
+        ``materialize`` (struct-of-arrays rows back to executor events).
         ``scan``'s event count is pre-drop (``batch.seen``),
-        ``materialize``'s is the survivors -- the same selectivity funnel
-        the classic table shows.
+        ``materialize``'s is the survivors: the per-stage table reads as a
+        selectivity funnel.
         """
         tracer = observer.tracer
         s_scan = observer.stage("scan")
         s_materialize = observer.stage("materialize")
-        scanner = ByteScanner(self.tags, self.table)
         kind, source, closer = resolve_bytes_source(document, size)
 
         def produce(batch):
@@ -185,24 +186,32 @@ class FastEventPipeline:
         observer=None,
         stop_at_root_close: bool = False,
     ) -> "FastPipelineFeed":
-        """Open an incremental (push-mode) instance of the document stages."""
-        if expand_attrs:
-            raise ValueError(
-                "the fast path does not support expand_attrs; use the classic pipeline"
-            )
+        """Open an incremental (push-mode) instance of the document stages.
+
+        The returned :class:`FastPipelineFeed` accepts arbitrarily-split
+        chunks and returns the surviving event batch per chunk.  With
+        ``stop_at_root_close`` it scans exactly one document and parks
+        anything fed past the root's close tag (see
+        :meth:`FastPipelineFeed.take_remainder`) -- the substrate of
+        continuous document feeds (:mod:`repro.feeds`).
+        """
         return FastPipelineFeed(
-            self, stats=stats, observer=observer, stop_at_root_close=stop_at_root_close
+            self,
+            expand_attrs=expand_attrs,
+            stats=stats,
+            observer=observer,
+            stop_at_root_close=stop_at_root_close,
         )
 
 
 class FastPipelineFeed:
     """One in-flight push-mode pass over the bytes-native stages.
 
-    API-compatible with :class:`~repro.pipeline.pipeline.PipelineFeed`:
     ``feed`` accepts text or byte chunks cut at arbitrary points (bytes are
     the zero-copy path -- they go straight to the scanner, never through a
     decoder), ``finish`` flushes and validates, ``pending_bytes`` guards
-    the text-after-partial-UTF-8 case.
+    the text-after-partial-UTF-8 case.  All per-run cursor state lives
+    here, so one pipeline serves any number of concurrent feeds.
     """
 
     __slots__ = ("_scanner", "_stats", "_record", "_finished", "_observer")
@@ -211,12 +220,16 @@ class FastPipelineFeed:
         self,
         pipeline: FastEventPipeline,
         *,
+        expand_attrs: bool = False,
         stats=None,
         observer=None,
         stop_at_root_close: bool = False,
     ):
         self._scanner = ByteScanner(
-            pipeline.tags, pipeline.table, stop_at_root_close=stop_at_root_close
+            pipeline.tags,
+            pipeline.table,
+            stop_at_root_close=stop_at_root_close,
+            expand_attrs=expand_attrs,
         )
         self._record = stats is not None and pipeline.projection_enabled
         self._stats = stats
@@ -261,9 +274,9 @@ class FastPipelineFeed:
     def finish(self) -> List[Event]:
         """Signal end of input; returns (and stages) any remaining events.
 
-        A byte feed ending mid-multi-byte-UTF-8-sequence raises the same
-        truncated-document error (message and offset) as the classic feed's
-        incremental decoder.
+        A byte feed ending mid-multi-byte-UTF-8-sequence raises a
+        truncated-document error at the offset where the incomplete
+        sequence starts; it never decodes to U+FFFD.
         """
         if self._finished:
             return []

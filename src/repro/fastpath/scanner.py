@@ -1,8 +1,9 @@
 """Bytes-native tokenizer fused with the flat-table projection filter.
 
-:class:`ByteScanner` is the fast path's replacement for the classic
-``tokenize -> coalesce -> project`` stages: one index-based scan over a
-``bytes`` / ``mmap`` buffer that emits struct-of-arrays rows
+:class:`ByteScanner` does the document side of every run in one pass:
+tokenize, coalesce adjacent text, expand attributes into subelements
+(``expand_attrs``) and project -- one index-based scan over a ``bytes`` /
+``mmap`` buffer that emits struct-of-arrays rows
 (:class:`~repro.fastpath.batch.SoABatch`) for *surviving* events only.
 
 What makes it fast:
@@ -15,19 +16,19 @@ What makes it fast:
   the steady-state cost of a start tag is one dict hit plus one flat-array
   index (:class:`~repro.fastpath.dfa.FlatProjectionTable`),
 * subtrees the projection filter drops emit *nothing* -- no events, no
-  objects, just the same single-integer depth counter the classic filter
-  uses, while input statistics are still accounted (pre-drop, like the
-  classic projector records them).
+  objects, just a single-integer depth counter, while input statistics
+  are still accounted (pre-drop: they describe the document read, not
+  the survivors).
 
-Semantics mirror the classic stack exactly for well-formed documents:
-same events, same output bytes, same buffered costs (survivors are
-materialized into the very same interned event objects), same
-well-formedness errors.  Two documented divergences exist, both limited to
-*invalid* content inside subtrees that projection drops: malformed
-attributes and bad entity-references in dropped regions are never parsed,
-so they cannot raise (the classic path parses, then drops).  Input *byte*
-statistics are byte-oriented (UTF-8 length of raw text) rather than
-decoded-character-oriented; event counts match.
+Semantics mirror the reference event tokenizer of :mod:`repro.xmlstream`
+(tokenize, coalesce, expand, project) exactly for well-formed documents:
+same events, same output bytes, same buffered costs, same well-formedness
+errors.  Two documented divergences exist, both limited to *invalid*
+content inside subtrees that projection drops: malformed attributes
+(unless ``expand_attrs`` is on, which parses every attribute) and bad
+entity-references in dropped regions are never parsed, so they cannot
+raise.  Input *byte* statistics are byte-oriented (UTF-8 length of raw
+text) rather than decoded-character-oriented; event counts match.
 
 Push mode (:meth:`feed_batch` / :meth:`close_batch`) accepts chunks cut at
 arbitrary byte positions -- **including mid-multibyte UTF-8**: an
@@ -55,7 +56,9 @@ from repro.fastpath.batch import (
 )
 from repro.fastpath.dfa import DROP, UNKNOWN, FlatProjectionTable
 from repro.fastpath.tags import TagTable, UNINTERNED
+from repro.xmlstream.attributes import expanded_attribute_name
 from repro.xmlstream.errors import XMLSyntaxError, XMLWellFormednessError
+from repro.xmlstream.events import Characters, EndElement, StartElement
 from repro.xmlstream.tokenizer import (
     _is_name_char,
     _is_name_start,
@@ -65,9 +68,11 @@ from repro.xmlstream.tokenizer import (
 
 #: A start-tag body that is just an (ASCII) name, possibly padded.
 _SIMPLE_TAG_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)[ \t\r\n]*\Z")
-#: The leading name of a start-tag body that carries more (attributes).
-_NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)")
-#: End-tag name validation (classic rule: every char a name char/start).
+#: The leading name of a start-tag body that carries more (attributes).  The
+#: name must end at whitespace: a name that continues with a non-ASCII
+#: character (``<aé>``) goes to the full tag-body parser instead of being cut.
+_NAME_PREFIX_RE = re.compile(rb"[ \t\r\n]*([A-Za-z_:][A-Za-z0-9_:.\-]*)(?=[ \t\r\n])")
+#: End-tag name validation (every char a name char/start).
 _END_NAME_RE = re.compile(rb"[A-Za-z0-9_:.\-]+\Z")
 
 
@@ -93,9 +98,17 @@ class ByteScanner:
         "_offset",
         "_stop_root",
         "_root_closed",
+        "_expand",
     )
 
-    def __init__(self, tags: TagTable, table: FlatProjectionTable, *, stop_at_root_close: bool = False):
+    def __init__(
+        self,
+        tags: TagTable,
+        table: FlatProjectionTable,
+        *,
+        stop_at_root_close: bool = False,
+        expand_attrs: bool = False,
+    ):
         self.tags = tags
         self.table = table
         self._stack: List[object] = []  # tag ids; raw name bytes past the cap
@@ -107,6 +120,7 @@ class ByteScanner:
         self._offset = 0  # absolute byte offset of the pending tail
         self._stop_root = stop_at_root_close
         self._root_closed = False
+        self._expand = expand_attrs
 
     # -------------------------------------------------------------- push mode
 
@@ -114,18 +128,16 @@ class ByteScanner:
     def pending_bytes(self) -> bool:
         """Whether the pending tail ends inside a multi-byte UTF-8 sequence.
 
-        Mirrors the classic feed's incremental-decoder check: while true,
-        only byte chunks may be fed (appending encoded text would interleave
-        it into the middle of a code point).
+        While true, only byte chunks may be fed (appending encoded text
+        would interleave it into the middle of a code point).
         """
         return self.incomplete_tail_at() is not None
 
     def incomplete_tail_at(self):
         """Absolute offset of a trailing incomplete UTF-8 sequence, or None.
 
-        Used at EOF to turn a partial multi-byte code point into the same
-        truncated-document error (message *and* offset) the classic path's
-        incremental decoder produces.
+        Used at EOF to turn a partial multi-byte code point into a
+        truncated-document error at the offset where the sequence starts.
         """
         pending = self._pending
         tail = pending[-4:]
@@ -157,16 +169,16 @@ class ByteScanner:
         if self._finished:
             raise XMLWellFormednessError("data after end of document", self._offset)
         buf = self._pending + data if self._pending else data
-        batch = SoABatch(buf, self.tags)
+        batch = SoABatch(buf, self.tags, self._offset)
         pos = self._drain(buf, 0, len(buf), False, batch, len(buf) + 1)
         self._offset += pos
         self._pending = bytes(buf[pos:])
         return batch
 
     def close_batch(self) -> SoABatch:
-        """End of input: final rows, then the classic well-formedness checks."""
+        """End of input: final rows, then the end-of-document well-formedness checks."""
         buf = self._pending
-        batch = SoABatch(buf, self.tags)
+        batch = SoABatch(buf, self.tags, self._offset)
         if self._finished:
             return batch
         pos = self._drain(buf, 0, len(buf), True, batch, len(buf) + 1)
@@ -196,7 +208,7 @@ class ByteScanner:
         length = len(buf)
         pos = 0
         while True:
-            batch = SoABatch(buf, self.tags)
+            batch = SoABatch(buf, self.tags, self._offset)
             pos = self._drain(buf, pos, length, True, batch, pos + chunk_size)
             if pos >= length:
                 if self._stack:
@@ -215,6 +227,7 @@ class ByteScanner:
 
     def _drain(self, buf, pos: int, length: int, final: bool, batch: SoABatch, stop: int) -> int:
         tags = self.tags
+        expand = self._expand
         ids = tags.ids
         start_costs = tags.start_costs
         end_costs = tags.end_costs
@@ -240,9 +253,9 @@ class ByteScanner:
         base = self._offset
         seen = 0
         cost = 0
-        # Coalesce parity: adjacent counted text segments (text/CDATA split
-        # by skipped markup) form one logical node, as after the classic
-        # coalesce stage; they count once and materialize merged.
+        # Coalescing: adjacent counted text segments (text/CDATA split by
+        # skipped markup) form one logical node; they count once and
+        # materialize merged.
         text_run = False
         stop_root = self._stop_root
         # Tokens only *start* before ``stop``; one starting earlier runs to
@@ -270,7 +283,7 @@ class ByteScanner:
                 raw = buf[start:end]
                 if raw.isspace():  # '&' is not whitespace, so this is safe
                     continue
-                if 38 in raw:  # '&': decode now so entity errors match classic
+                if 38 in raw:  # '&': decode now so entity errors surface here
                     text = decode_entities(raw.decode("utf-8"), base + start)
                     if text.isspace():
                         continue
@@ -524,13 +537,14 @@ class ByteScanner:
             self_closing = raw.endswith(b"/")
             body = raw[:-1] if self_closing else raw
             body_at = at + 1
+            attributes = None
             match = _SIMPLE_TAG_RE.match(body)
             if match is not None:
                 name_b = match.group(1)
                 tid = tags.intern(name_b, base + at)
                 if tid != UNINTERNED and not self_closing and raw != name_b:
                     # Remember the padded spelling so re-occurrences take
-                    # the fast path (the classic start cache does the same).
+                    # the fast path.
                     tags.alias(raw, tid)
                 has_attrs = False
                 name_span = (body_at + match.start(1), body_at + match.end(1))
@@ -542,8 +556,9 @@ class ByteScanner:
                     has_attrs = True
                     name_span = (body_at + match.start(1), body_at + match.end(1))
                 else:
-                    # Non-ASCII or malformed: the classic parser decides, so
-                    # names, attributes and errors stay identical.
+                    # Non-ASCII or malformed: the shared tag-body parser
+                    # decides, so names, attributes and errors match the
+                    # reference tokenizer.
                     name, attributes = parse_tag_body(
                         body.decode("utf-8"), base + at
                     )
@@ -552,6 +567,14 @@ class ByteScanner:
                     has_attrs = bool(attributes)
                     off = body.find(name_b)
                     name_span = (body_at + off, body_at + off + len(name_b))
+            if has_attrs and expand:
+                # The start tag itself goes out bare; its attributes follow
+                # as child elements (see ``_expand_attributes``).
+                if attributes is None:
+                    attributes = parse_tag_body(body.decode("utf-8"), base + at)[1]
+                has_attrs = False
+            else:
+                attributes = None
             body_span = (body_at, body_at + len(body))
 
             seen += 1
@@ -574,6 +597,8 @@ class ByteScanner:
             if skip:
                 if not self_closing:
                     skip += 1
+                if attributes:
+                    self._expand_attributes(name_b, tid, attributes, DROP, batch, base + at)
                 continue
             if tid != UNINTERNED:
                 cell = cells[row + tid] if tid < width else UNKNOWN
@@ -592,6 +617,8 @@ class ByteScanner:
             if cell == DROP:
                 if not self_closing:
                     skip = 1
+                if attributes:
+                    self._expand_attributes(name_b, tid, attributes, DROP, batch, base + at)
                 continue
             if has_attrs or tid == UNINTERNED:
                 span = body_span if has_attrs else name_span
@@ -600,6 +627,12 @@ class ByteScanner:
                 sapp(span[1])
             else:
                 wapp((tid << TAG_SHIFT) | (cell << STATE_SHIFT))
+            if attributes:
+                self._expand_attributes(name_b, tid, attributes, cell, batch, base + at)
+                cells = table.cells
+                width = table.width
+                chars_keep = table.chars_keep
+                row = top * width
             if self_closing:
                 if tid != UNINTERNED:
                     wapp(K_END | (tid << TAG_SHIFT) | (cell << STATE_SHIFT))
@@ -619,6 +652,49 @@ class ByteScanner:
         if stop_root and not stack and self._seen_root:
             self._root_closed = True
         return pos
+
+    def _expand_attributes(self, name_b, tid, attributes, cell, batch, at):
+        """The paper's attribute-to-subelement expansion of one start tag.
+
+        Each ``(name, value)`` attribute becomes a child element named by
+        :func:`~repro.xmlstream.attributes.expanded_attribute_name` holding
+        the value, in document order -- the events (and their input costs)
+        that :func:`~repro.xmlstream.attributes.expand_attributes` produces
+        ahead of coalescing and projection.  The children go through the
+        same flat-table transitions as scanned tags, from the element's
+        state ``cell``; with ``cell == DROP`` (element skipped or dropped)
+        they are only counted in the batch's input accounting.
+        """
+        tags = self.tags
+        table = self.table
+        wapp = batch.words.append
+        name = tags.names[tid] if tid != UNINTERNED else name_b.decode("utf-8")
+        for attr_name, value in attributes:
+            child = expanded_attribute_name(name, attr_name)
+            ctid = tags.intern(child.encode("utf-8"), at)
+            batch.seen += 3 if value else 2
+            batch.cost += 2 * len(child) + 5 + len(value)
+            if cell == DROP:
+                continue
+            if ctid == UNINTERNED:
+                ccell = table.resolve_name(cell, child)
+            else:
+                ccell = table.cells[cell * table.width + ctid] if ctid < table.width else UNKNOWN
+                if ccell == UNKNOWN:
+                    ccell = table.resolve(cell, ctid)
+            if ccell == DROP:
+                continue
+            state = ccell << STATE_SHIFT
+            if ctid == UNINTERNED:
+                batch.literal(StartElement(child), state)
+            else:
+                wapp((ctid << TAG_SHIFT) | state)
+            if value and table.chars_keep[ccell]:
+                batch.literal(Characters(value), state)
+            if ctid == UNINTERNED:
+                batch.literal(EndElement(child), state)
+            else:
+                wapp(K_END | (ctid << TAG_SHIFT) | state)
 
 
 def _valid_end_name(name: str) -> bool:

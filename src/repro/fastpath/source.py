@@ -1,8 +1,8 @@
 """Byte-level document source resolution for the fast path.
 
-The classic :func:`~repro.xmlstream.parser._chunks_from_source` normalizes
-every :data:`~repro.xmlstream.parser.DocumentSource` to *text* chunks; the
-fast path wants raw bytes.  :func:`resolve_bytes_source` classifies a
+The reference parser's :func:`~repro.xmlstream.parser._chunks_from_source`
+normalizes every :data:`~repro.xmlstream.parser.DocumentSource` to *text*
+chunks; the scanner wants raw bytes.  :func:`resolve_bytes_source` classifies a
 source into either
 
 * a **buffer** -- one in-memory ``bytes`` object or an ``mmap`` of the file
@@ -12,7 +12,7 @@ source into either
   to bytes (text chunks are UTF-8 encoded; they are complete code points by
   construction, so per-chunk encoding is safe).
 
-The same path heuristics as the classic parser apply: a ``str`` starting
+The same path heuristics as the reference parser apply: a ``str`` starting
 with ``<`` (after leading whitespace) is document text, anything else is a
 file path; ``os.PathLike`` always reads from disk.
 """

@@ -42,6 +42,8 @@ _SEQ = itertools.count(1)
 _CRASH_SEQ = itertools.count(1)
 
 # Field names per entry kind, used to render ring tuples as JSON objects.
+# ``fastpath`` is always true (there is one document pipeline); it stays so
+# ring entries in repro-crash/1 dumps keep their shape.
 _KIND_FIELDS = {
     "run-begin": ("mode", "fastpath"),
     "batch": ("events", "offset", "buffered_bytes", "depth", "scope"),
@@ -151,7 +153,6 @@ def dump_crash(
     stats=None,
     options=None,
     mode: str = "pull",
-    fastpath: bool = False,
     chunk_offsets=None,
     queries=None,
     context=None,
@@ -174,7 +175,9 @@ def dump_crash(
             "schema": CRASH_SCHEMA,
             "error": {"type": type(error).__name__, "message": str(error)},
             "mode": mode,
-            "fastpath": bool(fastpath),
+            # Every run reads its document with the byte scanner; the field
+            # stays so the repro-crash/1 format is unchanged.
+            "fastpath": True,
             "ring": RECORDER.snapshot(),
             "stats": _stats_payload(stats),
             "attribution": attribution,

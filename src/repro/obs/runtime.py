@@ -1,7 +1,7 @@
 """Always-on run telemetry: process-wide totals over every engine run.
 
 Tracing is opt-in and per-run; *telemetry* is neither.  Every run --
-traced or not, classic or fastpath, pull or push -- folds its finished
+traced or not, pull or push -- folds its finished
 ``RunStatistics`` into the global registry exactly once, from the
 engine's finish path.  The cost is a handful of integer adds per *run*
 (not per event or batch), which is why this can stay always-on.
@@ -21,7 +21,6 @@ _registry = global_registry()
 
 RUNS_TOTAL = _registry.counter("repro.runs.total", "Finished engine runs")
 RUNS_TRACED = _registry.counter("repro.runs.traced", "Runs executed with tracing on")
-RUNS_FASTPATH = _registry.counter("repro.runs.fastpath", "Runs served by the bytes-native fast path")
 RUNS_PUSH = _registry.counter("repro.runs.push", "Runs driven through push-mode feeds")
 INPUT_EVENTS = _registry.counter("repro.run.input_events.total", "Parser events consumed")
 INPUT_BYTES = _registry.counter("repro.run.input_bytes.total", "Document bytes consumed")
@@ -40,13 +39,11 @@ FEED_HEARTBEATS = _registry.counter(
 )
 
 
-def record_run(stats, *, traced: bool = False, fastpath: bool = False, push: bool = False) -> None:
+def record_run(stats, *, traced: bool = False, push: bool = False) -> None:
     """Fold one finished run's statistics into the global totals."""
     RUNS_TOTAL.inc()
     if traced:
         RUNS_TRACED.inc()
-    if fastpath:
-        RUNS_FASTPATH.inc()
     if push:
         RUNS_PUSH.inc()
     INPUT_EVENTS.inc(stats.input_events)

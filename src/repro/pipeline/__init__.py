@@ -1,33 +1,29 @@
-"""Compiled push-based event pipeline.
+"""The query-side stages around the document scan.
 
-The execution path of the engine is a pipeline of composable stages::
+A run is::
 
-    tokenize  ->  coalesce/normalize  ->  project  ->  execute  ->  sink
+    scan + project  ->  execute  ->  sink
 
-* **tokenize** (:func:`repro.xmlstream.parser.iter_event_batches`) turns
-  document chunks into bounded batches of SAX events,
-* **coalesce** (:mod:`repro.pipeline.stages`) merges adjacent character
-  events so downstream stages see one event per logical text node,
-* **project** (:mod:`repro.pipeline.projection`) drops events of subtrees
-  the compiled plan provably never touches -- a tag-driven automaton derived
-  from the plan's buffer trees, value tries and handler tables,
+* **scan + project** (:mod:`repro.fastpath`) turns document bytes into
+  bounded batches of SAX events, coalescing adjacent text and dropping the
+  events of subtrees the compiled plan provably never touches; the
+  projection automaton it runs is derived here
+  (:mod:`repro.pipeline.projection`), from the plan's buffer trees, value
+  tries and handler tables,
 * **execute** (:class:`repro.engine.executor.StreamExecutor`) drives the
   compiled plan with the surviving events via precompiled dispatch tables,
 * **sink** (:mod:`repro.pipeline.sinks`) collects, discards, streams or
   writes the serialized output.
 
-:class:`EventPipeline` composes the document-side stages for one plan;
-:class:`repro.engine.engine.FluxEngine` glues pipeline, executor and sink
-into the public ``run`` / ``run_streaming`` / ``run_to_sink`` API.
-
-For multi-query execution (:mod:`repro.multiquery`), the *project* stage is
-replaced by the union filter of :mod:`repro.pipeline.fanout`: one shared
-tokenize/coalesce pass feeds N per-query projected sub-streams.
+For multi-query execution (:mod:`repro.multiquery`), the per-query
+automata are merged into one union filter (:mod:`repro.pipeline.fanout`):
+one shared scan feeds N per-query projected sub-streams.
+:mod:`repro.pipeline.stages` holds the event-batch helpers used by the
+pre-parsed-events entry point and the reference checks.
 """
 
-from repro.pipeline.fanout import MergedProjectionSpec, MergedStreamProjector
-from repro.pipeline.pipeline import EventPipeline, PipelineFeed
-from repro.pipeline.projection import ProjectionSpec, StreamProjector
+from repro.pipeline.fanout import MergedProjectionSpec
+from repro.pipeline.projection import ProjectionSpec
 from repro.pipeline.sinks import (
     CollectSink,
     CollectingSink,
@@ -42,15 +38,11 @@ from repro.pipeline.stages import batched, coalesce_batches, coalesce_characters
 __all__ = [
     "CollectSink",
     "CollectingSink",
-    "EventPipeline",
     "FragmentSink",
     "MergedProjectionSpec",
-    "MergedStreamProjector",
     "NullSink",
     "OutputSink",
-    "PipelineFeed",
     "ProjectionSpec",
-    "StreamProjector",
     "WritableSink",
     "batched",
     "coalesce_batches",

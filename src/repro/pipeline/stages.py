@@ -1,9 +1,12 @@
-"""Small event-batch stages: normalization between tokenizer and executor.
+"""Small event-batch stages for already-parsed event streams.
 
-Stages consume and produce *batches* (lists) of events, the pipeline's unit
-of work.  Batch granularity is what makes per-chunk statistics and cheap
-generator plumbing possible: crossing a Python generator boundary happens
-once per chunk, not once per token.
+The byte scanner (:mod:`repro.fastpath`) batches and coalesces as it scans;
+these stages do the same for event streams that did not come from it: the
+pre-parsed-events entry point (``FluxEngine.run_events``) and the
+reference tokenizer's output that the tests and the conformance oracle
+compare against.  Stages consume and produce *batches* (lists) of events,
+so crossing a Python generator boundary happens once per chunk, not once
+per token.
 """
 
 from __future__ import annotations

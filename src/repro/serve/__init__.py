@@ -3,7 +3,7 @@
 The pub/sub composition of everything the engine already does one piece at
 a time: clients register prepared queries as **subscriptions** over a live
 document feed; every stream chunk flows through one shared
-tokenize -> coalesce -> project pass however many subscriptions are live;
+byte scan + union projection pass however many subscriptions are live;
 per-subscription results stream back through bounded queues with explicit
 slow-consumer policies.  The query set is *mutable mid-stream*: the union
 projection automaton grows by delta-merge and shrinks by tombstoning
@@ -21,7 +21,7 @@ Layers, bottom up:
   ``repro subscribe``).
 """
 
-from repro.serve.fanout import DynamicFanout, DynamicStreamProjector
+from repro.serve.fanout import DynamicFanout
 from repro.serve.hub import (
     DEFAULT_MAX_QUEUE,
     POLICIES,
@@ -35,7 +35,6 @@ from repro.serve.server import ServeServer, serve_ticker
 __all__ = [
     "DEFAULT_MAX_QUEUE",
     "DynamicFanout",
-    "DynamicStreamProjector",
     "POLICIES",
     "ServeServer",
     "SubscribeClient",

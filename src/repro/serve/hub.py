@@ -2,7 +2,7 @@
 
 The hub is the synchronous heart of :mod:`repro.serve`.  One *engine
 thread* feeds it stream chunks (network bytes, the XMark ticker, a file);
-every chunk flows through **one** tokenize -> coalesce -> project pass
+every chunk flows through **one** byte scan + union projection pass
 whatever the subscriber count, and the surviving per-subscription
 sub-streams drive one :class:`~repro.engine.executor.StreamExecutor` per
 active subscription per document -- exactly the multi-query fan-out, made
@@ -31,7 +31,6 @@ not).
 
 from __future__ import annotations
 
-import codecs
 import threading
 import time
 from collections import deque
@@ -43,17 +42,15 @@ from repro.dtd.schema import DTD
 from repro.engine.engine import FluxEngine, ensure_rooted
 from repro.engine.executor import StreamExecutor
 from repro.engine.stats import RunStatistics
-from repro.fastpath import use_fastpath
+from repro.fastpath.dfa import FlatProjectionTable
 from repro.fastpath.scanner import ByteScanner
+from repro.fastpath.tags import TagTable
 from repro.obs import recorder as _flight
 from repro.obs import serve as _serve
 from repro.obs.metrics import global_registry
-from repro.pipeline.stages import coalesce_characters
-from repro.serve.fanout import DynamicFanout, DynamicStreamProjector
+from repro.serve.fanout import DynamicFanout
 from repro.storage.governor import MemoryGovernor
 from repro.xmark.dtd import xmark_dtd
-from repro.xmlstream.errors import XMLWellFormednessError
-from repro.xmlstream.tokenizer import Tokenizer
 
 #: Padding accepted between documents (mirrors :mod:`repro.feeds`).
 _INTERDOC_WS = b" \t\r\n"
@@ -235,49 +232,7 @@ class Subscription:
             }
 
 
-class _ClassicScan:
-    """Per-document classic scan: tokenizer + decoder + dynamic fan-out."""
-
-    __slots__ = ("_tokenizer", "_projector", "_decoder")
-
-    def __init__(self, projector: DynamicStreamProjector):
-        self._tokenizer = Tokenizer(report_document_events=False, stop_at_root_close=True)
-        self._projector = projector
-        self._decoder = codecs.getincrementaldecoder("utf-8")()
-
-    def feed(self, data: bytes) -> List[List["object"]]:
-        text = self._decoder.decode(data)
-        if not text:
-            return None
-        batch = self._tokenizer.feed_batch(text)
-        if not batch:
-            return None
-        return self._projector.split_batch(coalesce_characters(batch))
-
-    @property
-    def root_closed(self) -> bool:
-        return self._tokenizer.root_closed
-
-    def take_remainder(self) -> bytes:
-        rest = self._tokenizer.take_remainder().encode("utf-8")
-        pending = self._decoder.getstate()[0]
-        if pending:
-            rest += pending
-        return rest
-
-    def finish(self) -> List[List["object"]]:
-        pending = self._decoder.getstate()[0]
-        if pending:
-            raise XMLWellFormednessError(
-                "truncated document: incomplete UTF-8 sequence at end of input", 0
-            )
-        batch = self._tokenizer.close_batch()
-        if not batch:
-            return None
-        return self._projector.split_batch(coalesce_characters(batch))
-
-
-class _FastScan:
+class _Scan:
     """Per-document bytes-native scan over the dynamic flat table."""
 
     __slots__ = ("_scanner", "_fanout", "_stats")
@@ -311,34 +266,37 @@ class _FastScan:
         return self._split(self._scanner.close_batch())
 
 
+#: The single state of the idle scan's drop-everything table.
+_IDLE = object()
+
+
 class _IdleScan:
-    """Boundary tracking with zero subscribers: tokenize, deliver nothing."""
+    """Boundary tracking with zero subscribers: scan, deliver nothing.
 
-    __slots__ = ("_tokenizer", "_decoder")
+    The drop-everything table skips the root element's subtree with the
+    scanner's depth counter, so no rows are built; well-formedness and the
+    root-close boundary are still checked.
+    """
 
-    def __init__(self):
-        self._tokenizer = Tokenizer(report_document_events=False, stop_at_root_close=True)
-        self._decoder = codecs.getincrementaldecoder("utf-8")()
+    __slots__ = ("_scanner",)
+
+    def __init__(self, tags: TagTable):
+        table = FlatProjectionTable(_IDLE, lambda state, tag: None, lambda state: (False, 0, 0), tags)
+        self._scanner = ByteScanner(tags, table, stop_at_root_close=True)
 
     def feed(self, data: bytes):
-        text = self._decoder.decode(data)
-        if text:
-            self._tokenizer.feed_batch(text)
+        self._scanner.feed_batch(data)
         return None
 
     @property
     def root_closed(self) -> bool:
-        return self._tokenizer.root_closed
+        return self._scanner.root_closed
 
     def take_remainder(self) -> bytes:
-        rest = self._tokenizer.take_remainder().encode("utf-8")
-        pending = self._decoder.getstate()[0]
-        if pending:
-            rest += pending
-        return rest
+        return self._scanner.take_remainder()
 
     def finish(self):
-        self._tokenizer.close_batch()
+        self._scanner.close_batch()
         return None
 
 
@@ -365,7 +323,6 @@ class SubscriptionHub:
     ):
         self.dtd = ensure_rooted(dtd if dtd is not None else xmark_dtd(), root_element)
         self.options = options if options is not None else DEFAULT_OPTIONS
-        self._fastpath = use_fastpath(self.options.fastpath, expand_attrs=False)
         self._lock = threading.Lock()
         self._engines: Dict[str, FluxEngine] = {}
         self.fanout = DynamicFanout()
@@ -391,7 +348,7 @@ class SubscriptionHub:
         self.governor = governor
         if governor is not None:
             governor.victim_selector = _heaviest_subscriber_page
-        _flight.RECORDER.note("serve-hub-open", self._fastpath)
+        _flight.RECORDER.note("serve-hub-open", True)
         self._progress_key = _serve.register_run(self._progress)
 
     # ---------------------------------------------------------- subscriptions
@@ -626,7 +583,6 @@ class SubscriptionHub:
         return {
             "mode": "serve",
             "state": self._state,
-            "fastpath": self._fastpath,
             "bytes_fed": self._bytes_fed,
             "chunks_fed": self._chunks_fed,
             "documents_completed": self._documents_completed,
@@ -674,11 +630,9 @@ class SubscriptionHub:
                 stats_list.append(stats)
             self._doc_execs = execs
             if not order:
-                self._scan = _IdleScan()
-            elif self._fastpath:
-                self._scan = _FastScan(self.fanout, stats_list)
+                self._scan = _IdleScan(self.fanout.tags)
             else:
-                self._scan = _ClassicScan(DynamicStreamProjector(self.fanout, stats_list))
+                self._scan = _Scan(self.fanout, stats_list)
 
     def _dispatch(self, subs: List[List["object"]]) -> None:
         for entry, sub_batch in zip(self._doc_execs, subs):

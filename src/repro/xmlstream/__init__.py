@@ -9,13 +9,14 @@ consume, buffer and serialize such event streams:
 * :mod:`repro.xmlstream.tokenizer` -- a hand-written, incremental XML
   tokenizer that turns text chunks into events without ever materializing
   the document.  It is batch-oriented (``feed_batch`` returns one bounded
-  list of events per fed chunk) and interns attribute-free tags, which is
-  what makes the pipeline's per-token cost a few dict lookups.
+  list of events per fed chunk) and interns attribute-free tags.  The
+  engine reads documents with the byte scanner of :mod:`repro.fastpath`;
+  this tokenizer is the independent reference parser of the baselines,
+  the conformance oracle and the tests.
 * :mod:`repro.xmlstream.parser` -- user-facing parsing helpers built on the
-  tokenizer.  :func:`~repro.xmlstream.parser.iter_event_batches` is the
-  entry stage of the push-based pipeline (:mod:`repro.pipeline`);
-  :func:`~repro.xmlstream.parser.iter_events` flattens it for per-event
-  consumers.  Sources can be document text (``str``/``bytes``), paths
+  tokenizer.  :func:`~repro.xmlstream.parser.iter_event_batches` yields
+  bounded event batches; :func:`~repro.xmlstream.parser.iter_events`
+  flattens it for per-event consumers.  Sources can be document text (``str``/``bytes``), paths
   (``str``/:class:`os.PathLike`), file objects or chunk iterables.
 * :mod:`repro.xmlstream.serializer` -- events back to XML text.
 * :mod:`repro.xmlstream.tree` -- a small in-memory node tree used by the

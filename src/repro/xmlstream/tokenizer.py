@@ -2,8 +2,7 @@
 
 The tokenizer accepts text chunks (of arbitrary size) via
 :meth:`Tokenizer.feed_batch` and returns SAX-style events in batches -- one
-list per fed chunk, which is what the pipeline stages of
-:mod:`repro.pipeline` consume.  The generator-style :meth:`Tokenizer.feed` /
+list per fed chunk.  The generator-style :meth:`Tokenizer.feed` /
 :meth:`Tokenizer.close` API is kept as a thin wrapper.  It supports the XML
 subset that the paper's data model needs:
 
@@ -29,13 +28,14 @@ The tokenizer never holds more than one pending token worth of text beyond
 the current chunk, so it can be used on documents far larger than main
 memory -- which is the point of the whole exercise.
 
-Because every ``feed_batch`` call resumes exactly where the previous chunk
-ended (mid-tag, mid-entity, mid-text), the tokenizer is also the substrate
-of the engine's **push mode** (:class:`repro.pipeline.pipeline.PipelineFeed`
-/ :meth:`repro.core.session.PreparedQuery.open_run`): callers may cut the
-document at arbitrary points and output is guaranteed byte-identical to a
-single-chunk parse.  The conformance oracle fuzzes precisely this
-invariant at adversarial split points.
+Every ``feed_batch`` call resumes exactly where the previous chunk ended
+(mid-tag, mid-entity, mid-text), so callers may cut the document at
+arbitrary points and get the events of a single-chunk parse.
+
+The engine itself reads documents with the byte scanner of
+:mod:`repro.fastpath`; this tokenizer is the independent reference the
+naive baseline, the conformance oracle and the tests parse with, so every
+run mode is checked against a second implementation.
 """
 
 from __future__ import annotations

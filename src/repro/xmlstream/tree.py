@@ -72,36 +72,49 @@ class XMLNode:
     def text_content(self) -> str:
         """Concatenated character data of the whole subtree (atomization)."""
         parts: List[str] = []
-        self._collect_text(parts)
-        return "".join(parts)
-
-    def _collect_text(self, parts: List[str]) -> None:
-        for child in self.children:
-            if isinstance(child, XMLNode):
-                child._collect_text(parts)
+        # Explicit stack (children pushed in reverse): subtrees may nest
+        # deeper than Python's recursion limit.
+        stack: List[Union[XMLNode, str]] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, XMLNode):
+                stack.extend(reversed(node.children))
             else:
-                parts.append(child)
+                parts.append(node)
+        return "".join(parts)
 
     def subtree_size(self) -> int:
         """Number of element nodes in the subtree (including this node)."""
-        return 1 + sum(child.subtree_size() for child in self.child_elements())
+        size = 0
+        stack: List[XMLNode] = [self]
+        while stack:
+            node = stack.pop()
+            size += 1
+            stack.extend(node.child_elements())
+        return size
 
     # ----------------------------------------------------------- conversion
 
     def to_events(self) -> List[Event]:
         """Serialize the subtree rooted at this node to a list of events."""
         events: List[Event] = []
-        self._emit(events)
-        return events
-
-    def _emit(self, events: List[Event]) -> None:
-        events.append(StartElement(self.name))
-        for child in self.children:
-            if isinstance(child, XMLNode):
-                child._emit(events)
+        append = events.append
+        # Each open element keeps an iterator over its remaining children,
+        # so the walk needs no recursion however deep the subtree is.
+        append(StartElement(self.name))
+        stack = [(self.name, iter(self.children))]
+        while stack:
+            name, children = stack[-1]
+            for child in children:
+                if isinstance(child, XMLNode):
+                    append(StartElement(child.name))
+                    stack.append((child.name, iter(child.children)))
+                    break
+                append(Characters(child))
             else:
-                events.append(Characters(child))
-        events.append(EndElement(self.name))
+                stack.pop()
+                append(EndElement(name))
+        return events
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"XMLNode({self.name!r}, {len(self.children)} children)"

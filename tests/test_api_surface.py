@@ -106,9 +106,10 @@ EXPECTED_SURFACE = r"""
         "members": {}
     },
     "ExecutionOptions": {
-        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, fastpath: 'Optional[bool]' = None, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None, join: 'str' = 'indexed') -> None",
+        "init": "(self, collect_output: 'bool' = True, expand_attrs: 'bool' = False, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, chunk_size: 'int' = 65536, trace: 'Optional[bool]' = None, serve_metrics: 'Optional[int]' = None, feed: 'Optional[FeedOptions]' = None, join: 'str' = 'indexed') -> None",
         "kind": "class",
         "members": {
+            "fastpath": "<property>",
             "replace": "(self, **changes) -> \"'ExecutionOptions'\""
         }
     },
@@ -202,7 +203,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "MultiQueryEngine": {
-        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None, fastpath: 'Optional[bool]' = None, join: 'str' = 'indexed')",
+        "init": "(self, registry: 'QueryRegistry', *, chunk_size: 'int' = 65536, memory_budget: 'Optional[int]' = None, memory_page_bytes: 'Optional[int]' = None, governor: 'Optional[MemoryGovernor]' = None, join: 'str' = 'indexed')",
         "kind": "class",
         "members": {
             "merged_spec": "(self) -> 'MergedProjectionSpec'",
@@ -299,7 +300,7 @@ EXPECTED_SURFACE = r"""
         }
     },
     "RunHandle": {
-        "init": "(self, executor: 'StreamExecutor', feed, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, fastpath: 'bool' = False, options: 'Optional[ExecutionOptions]' = None, annotations: 'Optional[dict]' = None)",
+        "init": "(self, executor: 'StreamExecutor', feed, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, options: 'Optional[ExecutionOptions]' = None, annotations: 'Optional[dict]' = None)",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'",
@@ -332,16 +333,17 @@ EXPECTED_SURFACE = r"""
         }
     },
     "StreamingRun": {
-        "init": "(self, executor: 'StreamExecutor', sink: 'FragmentSink', batches, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, fastpath: 'bool' = False, options: 'Optional[ExecutionOptions]' = None)",
+        "init": "(self, executor: 'StreamExecutor', sink: 'FragmentSink', batches, governor=None, owns_governor: 'bool' = True, on_finish=None, observer=None, options: 'Optional[ExecutionOptions]' = None)",
         "kind": "class",
         "members": {
             "close": "(self) -> 'None'"
         }
     },
     "TraceReport": {
-        "init": "(self, stages: 'List[StageStats]', spans: 'list', wall_seconds: 'float', mode: 'str' = 'pull', fastpath: 'bool' = False)",
+        "init": "(self, stages: 'List[StageStats]', spans: 'list', wall_seconds: 'float', mode: 'str' = 'pull')",
         "kind": "class",
         "members": {
+            "fastpath": "<property>",
             "stage_seconds": "<property>",
             "table": "(self) -> 'str'",
             "to_dict": "(self) -> 'dict'"

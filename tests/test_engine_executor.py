@@ -218,3 +218,19 @@ def test_flux_source_rendering_is_stable():
     source = engine.flux_source()
     assert "on-first past(author,title)" in source
     assert "on title as" in source
+
+
+DEEP_DTD = "<!ELEMENT r (a*)> <!ELEMENT a (a?, b?)> <!ELEMENT b (#PCDATA)>"
+DEEP_QUERY = "<o>{for $x in /r/a return <y>{$x/b}{$x}</y>}</o>"
+
+
+def test_buffered_output_over_a_5000_deep_subtree_matches_naive():
+    """Buffered subtrees are serialized, atomized and navigated without
+    recursion, in the engine and in the naive reference alike."""
+    depth = 5000
+    document = "<r>" + "<a>" * depth + "<b>x</b>" + "</a>" * depth + "<a><b>y</b></a></r>"
+    engine = FluxEngine(DEEP_QUERY, parse_dtd(DEEP_DTD).with_root("r"))
+    result = engine.run(document)
+    assert result.stats.peak_buffered_bytes > 0
+    assert result.output == NaiveDomEngine(DEEP_QUERY).run(document).output
+    assert result.output.count("<a>") == depth + 1

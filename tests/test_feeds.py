@@ -3,21 +3,21 @@
 Covers the feed tentpole and its satellites:
 
 * framing: one ``open_feed`` handle over concatenated documents returns
-  per-document results with exact byte offsets, at arbitrary chunk splits
-  on both pipelines,
+  per-document results with exact byte offsets, at arbitrary chunk splits,
+  checked against the naive reference and against solo runs,
 * satellite 1 -- a stream ending inside a multi-byte UTF-8 sequence must
-  raise the *same* truncated-document error at the *same* offset from
-  ``PipelineFeed.finish()`` and ``FastPipelineFeed.finish()``,
+  raise the *same* truncated-document error at the *same* offset from the
+  pipeline's push feed and from a push-mode run,
 * satellite 2 -- bytes after the root close: single-document push mode
-  rejects them identically (same error, same offset) on both pipelines,
-  while feed mode hands them to the next document,
+  rejects them exactly like pull mode (same error, same offset), while
+  feed mode hands them to the next document,
 * satellite 3 -- ``/progress`` entries and crash dumps carry
   document-charged offsets (``document_start_offset``, ``resume_offset``),
   so a crash dump names the exact resume point,
 * satellite 4 -- a randomized sweep: 2..50 concatenated documents, chunk
   splits placed before/at/after every boundary byte, asserting per-document
   byte-identity with solo runs, the flat live-buffer floor and unchanged
-  logical peaks on both paths,
+  logical peaks,
 * crash-safe resume: ``resume_from=<reported offset>`` replays the
   remaining documents byte-identically,
 * heartbeats, ``FeedOptions`` validation, and runtime counters.
@@ -34,9 +34,8 @@ from repro import (
     FeedOptions,
     FeedResult,
     FluxSession,
+    NaiveDomEngine,
 )
-from repro.fastpath.pipeline import FastEventPipeline
-from repro.pipeline.pipeline import EventPipeline
 from repro.xmlstream.errors import XMLWellFormednessError
 
 BIB_DTD = """
@@ -50,8 +49,6 @@ TITLES = "<titles>{ for $b in $ROOT/bib/book return $b/title }</titles>"
 
 
 def _doc(index: int) -> str:
-    # ASCII-only: classic offsets count decoded characters, the fast path
-    # counts bytes; parity assertions need the two units to coincide.
     return (
         f"<bib><book><title>T{index}</title><author>A{index}</author></book>"
         f"<book><title>U{index}</title><author>B{index}</author></book></bib>"
@@ -66,13 +63,6 @@ def _chunks(data: bytes, stride: int):
     return [data[i : i + stride] for i in range(0, len(data), stride)]
 
 
-@pytest.fixture(autouse=True)
-def _fastpath_env_off(monkeypatch):
-    # Both-path parity tests select the pipeline via ExecutionOptions; the
-    # CI matrix env override would silently collapse them onto one path.
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-
-
 @pytest.fixture()
 def session():
     with FluxSession(BIB_DTD, root_element="bib") as sess:
@@ -84,21 +74,30 @@ def _solo_outputs(session, count: int):
     return [prepared.execute(_doc(i)).output for i in range(count)]
 
 
+def _naive_outputs(session, count: int):
+    return [NaiveDomEngine(TITLES).run(_doc(i)).output for i in range(count)]
+
+
+#: Where the expected per-document outputs come from: the "classic" ids use
+#: the naive reference (it parses with the event tokenizer, independent of
+#: the engine's byte scanner), the "fastpath" ids solo engine runs.
+EXPECTED_FROM = pytest.mark.parametrize(
+    "expected_from", [_naive_outputs, _solo_outputs], ids=["classic", "fastpath"]
+)
+
+
 # ---------------------------------------------------------------------------
 # Framing
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
+@EXPECTED_FROM
 @pytest.mark.parametrize("stride", [1, 7, 64, 10_000])
-def test_feed_frames_documents_at_any_split(session, fastpath, stride):
+def test_feed_frames_documents_at_any_split(session, expected_from, stride):
     count = 4
     stream = _stream(count)
-    expected = _solo_outputs(session, count)
+    expected = expected_from(session, count)
     documents = []
-    feed = session.prepare(TITLES).open_feed(
-        options=ExecutionOptions(fastpath=True if fastpath else None),
-        on_document=documents.append,
-    )
+    feed = session.prepare(TITLES).open_feed(on_document=documents.append)
     returned = []
     for chunk in _chunks(stream, stride):
         returned.extend(feed.feed(chunk))
@@ -175,28 +174,26 @@ def test_feed_mid_document_eof_raises(session):
 
 
 # ---------------------------------------------------------------------------
-# Satellite 1: truncated UTF-8 at end of input, identical on both pipelines
+# Satellite 1: truncated UTF-8 at end of input, identical at both push entries
 
 
 @pytest.mark.parametrize("stride", [1, 3, 1000])
 def test_truncated_utf8_at_eof_identical_on_both_pipelines(session, stride):
     # "é" is two bytes; dropping the final byte truncates mid-sequence.
     payload = "<bib><book><title>Café".encode("utf-8")[:-1]
-    engine = session.prepare(TITLES).engine
-    classic = engine.pipeline
-    fast = engine._pipeline_for(ExecutionOptions(fastpath=True))
-    assert isinstance(classic, EventPipeline)
-    assert isinstance(fast, FastEventPipeline)
+    prepared = session.prepare(TITLES)
     errors = {}
-    for name, pipeline in (("classic", classic), ("fastpath", fast)):
-        feed = pipeline.open_feed()
-        for chunk in _chunks(payload, stride):
-            feed.feed(chunk)
+    for name, feed in (
+        ("pipeline-feed", prepared.engine.pipeline.open_feed()),
+        ("push-run", prepared.open_run()),
+    ):
         with pytest.raises(XMLWellFormednessError) as excinfo:
+            for chunk in _chunks(payload, stride):
+                feed.feed(chunk)
             feed.finish()
         errors[name] = (str(excinfo.value), excinfo.value.offset)
-    assert errors["classic"] == errors["fastpath"]
-    message, offset = errors["classic"]
+    assert errors["pipeline-feed"] == errors["push-run"]
+    message, offset = errors["push-run"]
     assert "truncated document" in message
     assert "incomplete UTF-8 sequence" in message
     assert offset == len(payload) - 1  # the first byte of the cut sequence
@@ -204,14 +201,11 @@ def test_truncated_utf8_at_eof_identical_on_both_pipelines(session, stride):
 
 def test_truncated_utf8_at_feed_eof_raises_in_finish(session):
     payload = _stream(1) + "<bib><book><title>Café".encode("utf-8")[:-1]
-    for fastpath in (False, True):
-        feed = session.prepare(TITLES).open_feed(
-            options=ExecutionOptions(fastpath=True if fastpath else None)
-        )
-        feed.feed(payload)
-        with pytest.raises(XMLWellFormednessError, match="truncated document"):
-            feed.finish()
-        assert feed.documents_completed == 1
+    feed = session.prepare(TITLES).open_feed()
+    feed.feed(payload)
+    with pytest.raises(XMLWellFormednessError, match="truncated document"):
+        feed.finish()
+    assert feed.documents_completed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,37 +218,31 @@ def test_truncated_utf8_at_feed_eof_raises_in_finish(session):
     ids=["second-document", "bare-text", "stray-close"],
 )
 def test_after_root_close_errors_identical_single_document(session, trailer):
-    """Single-document push mode: the classic and fast pipelines must reject
-    trailing bytes with the same error type, message and offset."""
+    """Single-document push mode must reject trailing bytes with the same
+    error type, message and offset as pull mode."""
     document = _doc(0).encode("utf-8")
     payload = document + trailer
-    outcomes = {}
-    for fastpath in (False, True):
-        run = session.prepare(TITLES).open_run(
-            options=ExecutionOptions(fastpath=True if fastpath else None)
-        )
-        with pytest.raises(XMLWellFormednessError) as excinfo:
-            run.feed(payload)
-            run.finish()
-        run.close()
-        outcomes[fastpath] = (str(excinfo.value), excinfo.value.offset)
-    assert outcomes[False] == outcomes[True]
-    _, offset = outcomes[False]
+    prepared = session.prepare(TITLES)
+    run = prepared.open_run()
+    with pytest.raises(XMLWellFormednessError) as pushed:
+        run.feed(payload)
+        run.finish()
+    run.close()
+    with pytest.raises(XMLWellFormednessError) as pulled:
+        prepared.execute(payload)
+    outcome = (str(pushed.value), pushed.value.offset)
+    assert outcome == (str(pulled.value), pulled.value.offset)
+    _, offset = outcome
     assert offset >= len(document), "the error must point into the trailer"
 
 
 def test_after_root_close_bytes_start_next_document_in_feed_mode(session):
     stream = (_doc(0) + _doc(1)).encode("utf-8")  # no separator at all
     documents = []
-    for fastpath in (False, True):
-        documents.clear()
-        with session.prepare(TITLES).open_feed(
-            options=ExecutionOptions(fastpath=True if fastpath else None),
-            on_document=documents.append,
-        ) as feed:
-            feed.feed(stream)
-        assert len(documents) == 2
-        assert documents[1].start_offset == len(_doc(0).encode("utf-8"))
+    with session.prepare(TITLES).open_feed(on_document=documents.append) as feed:
+        feed.feed(stream)
+    assert len(documents) == 2
+    assert documents[1].start_offset == len(_doc(0).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +304,14 @@ def test_crash_dump_charges_offsets_to_the_consuming_document(
 # Satellite 4: randomized multi-document boundary fuzz
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
+@EXPECTED_FROM
 @pytest.mark.parametrize("seed", [11, 23])
-def test_fuzz_concatenated_documents_with_adversarial_splits(session, fastpath, seed):
+def test_fuzz_concatenated_documents_with_adversarial_splits(session, expected_from, seed):
     rng = random.Random(seed)
     count = rng.randint(2, 50)
     separator = rng.choice(["", "\n", "  \r\n\t"])
     stream = _stream(count, separator)
-    expected = _solo_outputs(session, count)
+    expected = expected_from(session, count)
     unit = len(_doc(0).encode("utf-8")) + len(separator.encode("utf-8"))
 
     # Cuts before, at and after every boundary byte, plus random filler
@@ -340,10 +328,7 @@ def test_fuzz_concatenated_documents_with_adversarial_splits(session, fastpath, 
     assert b"".join(chunks) == stream
 
     documents = []
-    with session.prepare(TITLES).open_feed(
-        options=ExecutionOptions(fastpath=True if fastpath else None),
-        on_document=documents.append,
-    ) as feed:
+    with session.prepare(TITLES).open_feed(on_document=documents.append) as feed:
         for chunk in chunks:
             feed.feed(chunk)
 
@@ -359,11 +344,11 @@ def test_fuzz_concatenated_documents_with_adversarial_splits(session, fastpath, 
 # Crash-safe resume
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
-def test_resume_from_reported_offset_replays_byte_identically(session, fastpath):
+@EXPECTED_FROM
+def test_resume_from_reported_offset_replays_byte_identically(session, expected_from):
     count = 5
     stream = _stream(count)
-    options = ExecutionOptions(fastpath=True if fastpath else None)
+    options = ExecutionOptions()
     prepared = session.prepare(TITLES)
 
     # First run "crashes" (is closed) after two documents.
@@ -384,7 +369,7 @@ def test_resume_from_reported_offset_replays_byte_identically(session, fastpath)
     ) as second:
         for chunk in _chunks(stream, 97):
             second.feed(chunk)
-    assert [d.result.output for d in documents] == _solo_outputs(session, count)[2:]
+    assert [d.result.output for d in documents] == expected_from(session, count)[2:]
     assert documents[0].start_offset >= offset
     assert second.result.resume_offset == len(stream) - 1
 

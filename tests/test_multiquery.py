@@ -21,14 +21,12 @@ import itertools
 import pytest
 
 from repro import FluxEngine, MultiQueryEngine, QueryRegistry, run_queries, run_query
-from repro.pipeline.fanout import MergedProjectionSpec, MergedStreamProjector
-from repro.pipeline.projection import StreamProjector
-from repro.pipeline.stages import coalesce_batches
+from repro.fastpath import FastFanout
+from repro.pipeline.fanout import MergedProjectionSpec
 from repro.xmark.dtd import XMARK_DTD_SOURCE, xmark_dtd
 from repro.xmark.generator import config_for_scale, generate_document
 from repro.xmark.queries import BENCHMARK_QUERIES
 from repro.xmark.usecases import BIB_DTD_USECASES, XMP_INTRO
-from repro.xmlstream.parser import iter_event_batches
 
 
 @pytest.fixture(scope="module")
@@ -53,75 +51,57 @@ def shared_run(registry, document):
 # Merged projection filter
 
 
-def _staged_batches(document):
-    return coalesce_batches(iter_event_batches(document, document_events=False))
+def _solo_stream(engine, document):
+    """The solo run's projected event stream (the engine's own pipeline)."""
+    return [event for batch in engine.pipeline.event_batches(document) for event in batch]
+
+
+def _shared_streams(specs, document, stats_list=None):
+    """Per-query sub-streams of one shared scan over the merged filter."""
+    fanout = FastFanout(MergedProjectionSpec(specs))
+    streams = [[] for _ in specs]
+    for subs in fanout.split_batches(document, 64 * 1024, stats_list):
+        for stream, sub in zip(streams, subs):
+            stream.extend(sub)
+    return fanout, streams
 
 
 @pytest.mark.parametrize(
     "pair", list(itertools.combinations(sorted(BENCHMARK_QUERIES), 2)), ids="+".join
 )
 def test_merged_filter_accepts_union_of_pair(pair, document):
-    """For each query pair: individual acceptance implies merged acceptance,
-    and each membership sub-stream equals the solo filter's output."""
+    """For each query pair: each membership sub-stream equals the solo
+    filter's output, so every event some individual filter accepts
+    survives the shared pass."""
     engines = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()) for name in pair]
     specs = [engine.pipeline.projection_spec for engine in engines]
     assert all(spec is not None for spec in specs)
-
-    solo_streams = []
-    for spec in specs:
-        projector = StreamProjector(spec)
-        events = [event for batch in _staged_batches(document) for event in projector.filter_batch(batch)]
-        solo_streams.append(events)
-
-    merged = MergedStreamProjector(MergedProjectionSpec(specs))
-    sub_streams = [[], []]
-    union_ids = set()
-    for batch in _staged_batches(document):
-        subs = merged.split_batch(batch)
-        for index in range(2):
-            sub_streams[index].extend(subs[index])
-            union_ids.update(id(event) for event in subs[index])
-
-    # The strong form: each query's sub-stream is exactly its solo stream
-    # (events are value-comparable frozen dataclasses).
-    assert sub_streams[0] == solo_streams[0]
-    assert sub_streams[1] == solo_streams[1]
-    # The union form of the satellite: every event some individual filter
-    # accepts survives the shared pass (the kept set is the mask union, so
-    # each sub-stream is a subset of what the merged filter forwarded).
-    for sub in sub_streams:
-        assert all(id(event) in union_ids for event in sub)
+    _, sub_streams = _shared_streams(specs, document)
+    for engine, sub in zip(engines, sub_streams):
+        assert sub == _solo_stream(engine, document)
 
 
 def test_merged_filter_with_projection_disabled_component(document):
     """A ``None`` spec component (projection off) must see the full stream."""
     filtered = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd())
-    merged = MergedStreamProjector(
-        MergedProjectionSpec([filtered.pipeline.projection_spec, None])
-    )
-    total = 0
-    unfiltered_seen = 0
-    for batch in _staged_batches(document):
-        subs = merged.split_batch(batch)
-        total += len(batch)
-        unfiltered_seen += len(subs[1])
-    assert unfiltered_seen == total
+    unfiltered = FluxEngine(BENCHMARK_QUERIES["Q13"], xmark_dtd(), projection=False)
+    _, sub_streams = _shared_streams([filtered.pipeline.projection_spec, None], document)
+    full = _solo_stream(unfiltered, document)
+    assert sub_streams[1] == full
+    assert len(sub_streams[0]) < len(full)
 
 
 def test_merged_state_membership_masks(document):
     """Masks and their unpacked index tuples must agree, chars ⊆ keep."""
     engines = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()) for name in ("Q1", "Q13")]
-    spec = MergedProjectionSpec([engine.pipeline.projection_spec for engine in engines])
-    projector = MergedStreamProjector(spec)
-    for batch in _staged_batches(document):
-        projector.split_batch(batch)
+    fanout, _ = _shared_streams([engine.pipeline.projection_spec for engine in engines], document)
+    spec = fanout.spec
+    assert len(spec._states) > 1
     for state in spec._states.values():
-        assert state.keep_indices == tuple(
-            i for i in range(spec.count) if state.keep_mask >> i & 1
-        )
-        assert state.chars_indices == tuple(
-            i for i in range(spec.count) if state.chars_mask >> i & 1
-        )
+        for mask in (state.keep_mask, state.chars_mask):
+            assert fanout.indices_for(mask) == tuple(
+                i for i in range(spec.count) if mask >> i & 1
+            )
         # A query inside a keep-everything region necessarily keeps elements.
         assert state.chars_mask & state.keep_mask == state.chars_mask
     assert spec.initial.keep_mask == 0b11  # both queries watch the root
@@ -132,11 +112,7 @@ def test_merged_projector_records_stats_per_query(document):
 
     engines = [FluxEngine(BENCHMARK_QUERIES[name], xmark_dtd()) for name in ("Q1", "Q13")]
     stats = [RunStatistics(), RunStatistics()]
-    merged = MergedStreamProjector(
-        MergedProjectionSpec([engine.pipeline.projection_spec for engine in engines]), stats
-    )
-    for batch in _staged_batches(document):
-        merged.split_batch(batch)
+    _shared_streams([engine.pipeline.projection_spec for engine in engines], document, stats)
     # Both queries are charged the *pre-projection* totals of the shared pass.
     assert stats[0].input_events == stats[1].input_events > 0
     assert stats[0].input_bytes == stats[1].input_bytes > 0

@@ -190,11 +190,11 @@ def _run_mode(engine: FluxEngine, document: str, mode: str, options: ExecutionOp
 
 
 @pytest.mark.parametrize("mode", ["collect", "writable", "stream", "push"])
-@pytest.mark.parametrize("fastpath", [False, True])
-def test_tracing_is_invisible_across_sink_modes(xmark_doc, monkeypatch, mode, fastpath):
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+@pytest.mark.parametrize("bounded", [False, True])
+def test_tracing_is_invisible_across_sink_modes(xmark_doc, mode, bounded):
     engine = _engine("Q8")
-    base = ExecutionOptions(fastpath=fastpath)
+    # Bounded runs spill Q8's buffers: tracing must stay invisible there too.
+    base = ExecutionOptions(memory_budget=4096 if bounded else None)
     plain_out, plain_stats, plain_trace = _run_mode(engine, xmark_doc, mode, base)
     traced_out, traced_stats, trace = _run_mode(
         engine, xmark_doc, mode, base.replace(trace=True)
@@ -207,13 +207,12 @@ def test_tracing_is_invisible_across_sink_modes(xmark_doc, monkeypatch, mode, fa
     assert isinstance(trace, TraceReport)
     assert validate_span_tree(trace.spans) == []
     assert trace.stages and trace.stage_seconds > 0.0
-    assert trace.fastpath is fastpath
+    assert trace.fastpath is True
     assert trace.mode == ("push" if mode == "push" else ("stream" if mode == "stream" else "pull"))
 
 
 @pytest.mark.parametrize("stride", [1, 7, 64])
-def test_push_feed_span_tree_survives_adversarial_splits(monkeypatch, stride):
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+def test_push_feed_span_tree_survives_adversarial_splits(stride):
     document = (
         "<site><regions><namerica>"
         + "<item id=\"i1\"><name>one &amp; two</name></item>" * 6
@@ -221,19 +220,17 @@ def test_push_feed_span_tree_survives_adversarial_splits(monkeypatch, stride):
     )
     engine = FluxEngine(BENCHMARK_QUERIES["Q1"], xmark_dtd())
     reference = engine.execute(document).output
-    for fastpath in (False, True):
-        options = ExecutionOptions(trace=True, fastpath=fastpath)
-        handle = engine.open_run(options=options)
-        data = document.encode("utf-8")
-        for start in range(0, len(data), stride):
-            handle.feed(data[start : start + stride])
-        result = handle.finish()
-        assert result.output == reference
-        assert result.trace is not None and result.trace.mode == "push"
-        assert validate_span_tree(result.trace.spans) == []
-        # Every span closed: tokenize/scan and execute per fed chunk, one
-        # final execute for the tail -- none left open by the feed protocol.
-        assert all(span.end is not None for span in result.trace.spans)
+    handle = engine.open_run(options=ExecutionOptions(trace=True))
+    data = document.encode("utf-8")
+    for start in range(0, len(data), stride):
+        handle.feed(data[start : start + stride])
+    result = handle.finish()
+    assert result.output == reference
+    assert result.trace is not None and result.trace.mode == "push"
+    assert validate_span_tree(result.trace.spans) == []
+    # Every span closed: scan, materialize and execute per fed chunk, one
+    # final execute for the tail -- none left open by the feed protocol.
+    assert all(span.end is not None for span in result.trace.spans)
 
 
 def test_abandoned_traced_stream_leaves_no_open_spans(xmark_doc):
@@ -295,9 +292,7 @@ def test_obs_json_env_appends_one_trace_per_run(xmark_doc, monkeypatch, tmp_path
     assert len(headers) == 2 and spans
     assert headers[0]["mode"] == "pull"
     stage_names = {stage["stage"] for stage in headers[0]["stages"]}
-    # Classic scan stages or the fastpath's, depending on REPRO_FASTPATH.
-    assert "execute" in stage_names
-    assert "tokenize" in stage_names or "scan" in stage_names
+    assert {"scan", "materialize", "execute"} <= stage_names
     # Run ids separate the appended dumps.
     assert headers[0]["run"] != headers[1]["run"]
     assert all(span["run"] in {h["run"] for h in headers} for span in spans)

@@ -6,8 +6,8 @@ Covers the serve tentpole:
   transition functions are *never re-entered*, proven by counting calls),
   detach is a tombstone (no transition recomputed, masks patched in
   place), and only :meth:`compact` moves the ``recompiles`` counter;
-* the hub delivers byte-identical results vs solo runs on both pipelines,
-  at arbitrary chunk splits, with exact per-document metadata;
+* the hub delivers byte-identical results vs solo runs and vs the naive
+  reference, at arbitrary chunk splits, with exact per-document metadata;
 * slow-consumer policies: ``block`` backpressures the engine thread with
   zero drops, ``drop`` counts and skips, ``disconnect`` evicts at the
   next boundary;
@@ -24,14 +24,14 @@ import time
 
 import pytest
 
+from repro import NaiveDomEngine
 from repro.core.api import load_dtd
-from repro.core.options import ExecutionOptions
 from repro.engine.engine import FluxEngine
+from repro.fastpath import ByteScanner
 from repro.obs import serve as obs_serve
 from repro.pipeline.projection import ProjectionSpec
 from repro.serve import (
     DynamicFanout,
-    DynamicStreamProjector,
     SubscribeClient,
     ServeServer,
     Subscription,
@@ -78,15 +78,16 @@ def _solo(query: str, count: int):
     return [engine.run(_doc(i)).output for i in range(count)]
 
 
-def _options(fastpath: bool) -> ExecutionOptions:
-    return ExecutionOptions(fastpath=True if fastpath else None)
+def _naive(query: str, count: int):
+    return [NaiveDomEngine(query).run(_doc(i)).output for i in range(count)]
 
 
-@pytest.fixture(autouse=True)
-def _fastpath_env_off(monkeypatch):
-    # Both-path parity tests select the pipeline via ExecutionOptions; the
-    # CI matrix env override would silently collapse them onto one path.
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+#: Where the expected per-document outputs come from: the "classic" ids use
+#: the naive reference (it parses with the event tokenizer, independent of
+#: the engine's byte scanner), the "fastpath" ids solo engine runs.
+EXPECTED_FROM = pytest.mark.parametrize(
+    "expected_from", [_naive, _solo], ids=["classic", "fastpath"]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +157,10 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
     fanout.attach(spec_a)
 
     def run_doc():
-        projector = DynamicStreamProjector(fanout)
-        from repro.pipeline.stages import coalesce_characters
-        from repro.xmlstream.tokenizer import Tokenizer
-
-        tokenizer = Tokenizer(report_document_events=False)
-        projector.split_batch(coalesce_characters(tokenizer.feed_batch(_doc(0))))
-        projector.split_batch(coalesce_characters(tokenizer.close_batch()))
+        # Scanning resolves every (state, tag) cell through the fanout.
+        scanner = ByteScanner(fanout.tags, fanout.table())
+        for _ in scanner.scan_document(_doc(0).encode("utf-8"), 1 << 16):
+            pass
 
     run_doc()
     warm_t, warm_a = calls_t[0], calls_a[0]
@@ -189,13 +187,13 @@ def test_attach_is_delta_merge_never_reenters_existing_queries():
 # Hub: byte-identity, churn metadata, policies
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
+@EXPECTED_FROM
 @pytest.mark.parametrize("stride", [7, 512, 100_000])
-def test_hub_results_match_solo_runs(fastpath, stride):
+def test_hub_results_match_solo_runs(expected_from, stride):
     count = 5
-    expected_titles = _solo(TITLES, count)
-    expected_authors = _solo(AUTHORS, count)
-    with SubscriptionHub(_schema(), options=_options(fastpath)) as hub:
+    expected_titles = expected_from(TITLES, count)
+    expected_authors = expected_from(AUTHORS, count)
+    with SubscriptionHub(_schema()) as hub:
         titles = hub.subscribe(TITLES, name="titles")
         authors = hub.subscribe(AUTHORS, name="authors")
         for chunk in _chunks(_stream(count), stride):
@@ -212,11 +210,11 @@ def test_hub_results_match_solo_runs(fastpath, stride):
     assert titles.state == "finished"
 
 
-@pytest.mark.parametrize("fastpath", [False, True], ids=["classic", "fastpath"])
-def test_mid_feed_subscribe_and_unsubscribe_at_boundaries(fastpath):
+@EXPECTED_FROM
+def test_mid_feed_subscribe_and_unsubscribe_at_boundaries(expected_from):
     count = 6
-    expected = _solo(AUTHORS, count)
-    with SubscriptionHub(_schema(), options=_options(fastpath)) as hub:
+    expected = expected_from(AUTHORS, count)
+    with SubscriptionHub(_schema()) as hub:
         titles = hub.subscribe(TITLES, name="titles")
         for i in range(count):
             if i == 2:
